@@ -189,7 +189,7 @@ func clientMain(base, submit, cancelID string, scale float64, tenant, mode strin
 		return 2
 	}
 
-	resp, err := c.Submit(ctx, serve.SubmitRequest{Workload: submit, Scale: scale, Mode: mode})
+	resp, err := c.Submit(ctx, serve.SubmitRequest{Workload: submit, Scale: scale, Knobs: darco.Knobs{Mode: mode}})
 	if err != nil {
 		if serve.IsOverloaded(err) {
 			fmt.Fprintln(os.Stderr, "darco-serve: server overloaded, retry later:", err)

@@ -54,21 +54,13 @@ func main() {
 	workloadFlag := flag.String("workload", "", "comma-separated workload references (<source>:<name>; sources: "+strings.Join(workload.Sources(), ", ")+")")
 	record := flag.String("record", "", "record the selected workload's guest image to this trace file (replay with -workload trace:<file>); requires exactly one workload")
 	scale := flag.Float64("scale", 1.0, "workload dynamic-size multiplier")
-	modeFlag := flag.String("mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
-	isaFlag := flag.String("isa", "", "guest ISA frontend: x86 or rv32 (default: per-program; -bench names resolve through the selected frontend's catalog)")
+	var knobs darco.Knobs
+	knobs.RegisterFlags(flag.CommandLine)
+	flag.StringVar(&knobs.Mode, "mode", timing.ModeShared.String(), "timing mode: shared, app-only, tol-only, split")
 	list := flag.Bool("list", false, "list catalog benchmarks and exit")
 	printConfig := flag.Bool("print-config", false, "print the Table I host configuration and exit")
-	cosim := flag.Bool("cosim", true, "verify against the authoritative emulator")
 	sbth := flag.Int("sbth", 0, "override BB/SBth promotion threshold")
 	bbth := flag.Int("bbth", 0, "override IM/BBth promotion threshold")
-	passes := flag.String("passes", "", "SBM optimization pipeline (comma-separated pass names; 'none' = empty)")
-	optLevel := flag.Int("O", -1, "optimization preset 0..3 (-1 = default O2; 0 disables SBM)")
-	promote := flag.String("promote", "", "tier-promotion policy: fixed, adaptive")
-	ccSize := flag.Int("cc-size", 0, "bound the code cache to this many instruction slots (0 = unbounded)")
-	ccPolicy := flag.String("cc-policy", "", "code cache eviction policy: flush-all, fifo-region, lru-translation")
-	sampleEvery := flag.Int("sample", 0, "sampled simulation: measure every Nth interval in detail (0 = full detailed run)")
-	sampleInterval := flag.Uint64("interval", 0, "sampled simulation: interval length in guest instructions (0 = default)")
-	sampleWarmup := flag.Uint64("warmup", 0, "sampled simulation: detailed warm-up instructions before each measured interval (0 = default)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON records instead of tables")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the whole run (0 = none)")
@@ -91,41 +83,31 @@ func main() {
 		os.Exit(2)
 	}
 
-	mode, err := timing.ParseMode(*modeFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "darco:", err)
-		os.Exit(2)
-	}
-
 	cfg := darco.DefaultConfig()
-	cfg.TOL.Cosim = *cosim
-	cfg.Mode = mode
-	cfg.ISA = *isaFlag
 	if *sbth > 0 {
 		cfg.TOL.SBThreshold = *sbth
 	}
 	if *bbth > 0 {
 		cfg.TOL.BBThreshold = *bbth
 	}
-	darco.ApplyCacheFlags(&cfg.TOL, *ccSize, *ccPolicy)
-	if err := darco.ApplyPipelineFlags(&cfg.TOL, *optLevel, *passes, *promote); err != nil {
+	if err := knobs.Apply(&cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "darco:", err)
 		os.Exit(2)
 	}
-	if err := darco.ApplySampleFlags(&cfg, *sampleEvery, *sampleInterval, *sampleWarmup); err != nil {
-		fmt.Fprintln(os.Stderr, "darco:", err)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	var refs []string
 	if *bench != "" {
 		for _, name := range strings.Split(*bench, ",") {
-			refs = append(refs, workload.RefForISA(strings.TrimSpace(name), *isaFlag))
+			refs = append(refs, workload.RefForISA(strings.TrimSpace(name), cfg.ISA))
 		}
 	}
 	if *workloadFlag != "" {
 		for _, ref := range strings.Split(*workloadFlag, ",") {
-			refs = append(refs, workload.RefForISA(strings.TrimSpace(ref), *isaFlag))
+			refs = append(refs, workload.RefForISA(strings.TrimSpace(ref), cfg.ISA))
 		}
 	}
 	var sessJobs []darco.Job
@@ -170,7 +152,7 @@ func main() {
 	failed := 0
 	for i, br := range batch {
 		prog := sessJobs[i].Program
-		records = append(records, darco.NewRecord(prog.Name(), prog.Meta().Suite, *scale, mode, br.Result, br.Err))
+		records = append(records, darco.NewRecord(prog.Name(), prog.Meta().Suite, *scale, cfg.Mode, br.Result, br.Err))
 		if br.Err != nil {
 			failed++
 			if !*jsonOut {

@@ -105,39 +105,10 @@ func WithCodeCache(capacityInsts int, policy string) Option {
 	}
 }
 
-// ApplyPipelineFlags applies the -O/-passes/-promote command-line
-// flags shared by the darco tools to a TOL config and validates the
-// result, so every cmd rejects bad pipelines identically before
-// simulating. optLevel < 0 means "flag not given"; empty strings leave
-// the config untouched. An explicit -passes overrides the pipeline of
-// -O 1..3; combining -passes with -O 0 is contradictory (O0 disables
-// SBM, so the requested passes could never run) and is rejected.
-func ApplyPipelineFlags(tc *tol.Config, optLevel int, passes, promote string) error {
-	if optLevel >= 0 {
-		if optLevel == 0 && passes != "" {
-			return fmt.Errorf("darco: -O 0 disables SBM, so -passes %q would never run; drop one of the flags", passes)
-		}
-		if err := tol.ApplyOptLevel(tc, optLevel); err != nil {
-			return err
-		}
-	}
-	if passes != "" {
-		tc.Passes = passes
-		tc.OptLevel = ""
-	}
-	if promote != "" {
-		tc.Promotion = promote
-	}
-	return tc.Validate()
-}
-
-// ApplyCacheFlags applies the -cc-size/-cc-policy command-line flags
-// shared by the darco tools to a TOL config. capacity <= 0 and empty
-// policy mean "flag not given" and leave the config untouched. The
-// resulting configuration is validated by the subsequent
-// ApplyPipelineFlags call (every cmd applies cache flags first), so
-// bad bounds and unknown policies are rejected identically everywhere
-// before simulating.
+// ApplyCacheFlags applies a -cc-size/-cc-policy pair to a TOL config.
+// capacity <= 0 and empty policy mean "flag not given" and leave the
+// config untouched; Config.Validate rejects bad bounds and unknown
+// policies before simulating. Knobs is the full knob vocabulary.
 func ApplyCacheFlags(tc *tol.Config, capacity int, policy string) {
 	if capacity > 0 {
 		tc.Cache.CapacityInsts = capacity
@@ -163,32 +134,6 @@ func WithSampling(sc sample.Config) Option {
 // overriding an earlier WithSampling or a sampled base config.
 func WithoutSampling() Option {
 	return func(c *Config) { c.Sampling = nil }
-}
-
-// ApplySampleFlags applies the -sample/-interval/-warmup command-line
-// flags shared by the darco tools to a run configuration. every <= 0
-// means "-sample not given" and leaves the config untouched; interval
-// and warmup fall back to the sample.DefaultConfig values when zero, so
-// `-sample 4` alone selects a sensible plan. The resulting plan is
-// validated so every cmd rejects bad sampling flags identically before
-// simulating.
-func ApplySampleFlags(c *Config, every int, interval, warmup uint64) error {
-	if every <= 0 {
-		return nil
-	}
-	sc := sample.DefaultConfig()
-	sc.Every = every
-	if interval > 0 {
-		sc.Interval = interval
-	}
-	if warmup > 0 {
-		sc.Warmup = warmup
-	}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	c.Sampling = &sc
-	return nil
 }
 
 // WithProgress installs a periodic in-run progress callback. The

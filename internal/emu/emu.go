@@ -6,8 +6,7 @@
 //
 // The emulator is ISA-agnostic: it executes whatever frontend the
 // loaded program names (guest.ISAOf), through the frontend's decode
-// hook and the shared step semantics. Package x86emu remains as the
-// x86-pinned instance for the paper's original guest.
+// hook and the shared step semantics.
 package emu
 
 import (

@@ -1,4 +1,4 @@
-package x86emu
+package emu
 
 import (
 	"testing"

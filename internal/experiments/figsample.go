@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/darco"
 	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -34,10 +35,10 @@ func sampleGrid(workloads []string, sc sample.Config, scale float64) *sweep.Grid
 		Name:      "fig-sample",
 		Workloads: workloads,
 		Scale:     scale,
-		Base:      &sweep.Knobs{Mode: timing.ModeShared.String(), NoSample: true},
+		Base:      &darco.Knobs{Mode: timing.ModeShared.String(), NoSample: true},
 		Axes: []sweep.Axis{{Name: "sim", Values: []sweep.Value{
 			{Name: "full"},
-			{Name: "sampled", Knobs: sweep.Knobs{Sample: &sweep.SamplePlan{
+			{Name: "sampled", Knobs: darco.Knobs{Sample: &darco.SamplePlan{
 				Every: sc.Every, Interval: sc.Interval, Warmup: &sc.Warmup}}},
 		}}},
 		Baseline:  map[string]string{"sim": "full"},

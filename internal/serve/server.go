@@ -47,7 +47,6 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/store"
-	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
@@ -327,36 +326,23 @@ func (s *Server) runJob(j *job) {
 }
 
 // resolveConfig turns a submission into the fully resolved run
-// configuration, mirroring the flag semantics of the cmds.
-func (s *Server) resolveConfig(req *SubmitRequest) (darco.Config, error) {
+// configuration and the workload reference to run under it: the base
+// (or the submitted Config) with the knobs folded on top, validated,
+// and the reference redirected to the configured ISA's catalog.
+func (s *Server) resolveConfig(req *SubmitRequest) (darco.Config, string, error) {
 	cfg := s.base
 	if req.Config != nil {
 		cfg = *req.Config
 		cfg.Progress = nil
 		cfg.ProgressEvery = 0
 	}
-	if req.Mode != "" {
-		m, err := timing.ParseMode(req.Mode)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Mode = m
+	if err := req.Knobs.Apply(&cfg); err != nil {
+		return cfg, "", err
 	}
-	if req.Cosim != nil {
-		cfg.TOL.Cosim = *req.Cosim
+	if err := cfg.Validate(); err != nil {
+		return cfg, "", err
 	}
-	if req.MaxCycles != 0 {
-		cfg.MaxCycles = req.MaxCycles
-	}
-	darco.ApplyCacheFlags(&cfg.TOL, req.CCSize, req.CCPolicy)
-	opt := -1
-	if req.OptLevel != nil {
-		opt = *req.OptLevel
-	}
-	if err := darco.ApplyPipelineFlags(&cfg.TOL, opt, req.Passes, req.Promote); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, workload.RefForISA(req.Workload, cfg.ISA), nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -391,7 +377,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	cfg, err := s.resolveConfig(&req)
+	cfg, ref, err := s.resolveConfig(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -400,7 +386,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if scale == 0 {
 		scale = 1
 	}
-	sjob, err := darco.WithWorkload(req.Workload, scale, darco.WithConfig(cfg))
+	sjob, err := darco.WithWorkload(ref, scale, darco.WithConfig(cfg))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -432,7 +418,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "admission queue full (%d queued jobs); retry later", s.queue.len())
 		return
 	}
-	s.logf("job %s queued (tenant %s, %s, key %s)", id, tenant, req.Workload, key)
+	s.logf("job %s queued (tenant %s, %s, key %s)", id, tenant, ref, key)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
 		ID:    id,
 		State: StateQueued,

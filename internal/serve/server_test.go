@@ -84,7 +84,7 @@ func submitTiny(t *testing.T, c *Client, workloadRef string) SubmitResponse {
 	resp, err := c.Submit(context.Background(), SubmitRequest{
 		Workload: workloadRef,
 		Scale:    0.1,
-		Cosim:    &cosim,
+		Knobs:    darco.Knobs{Cosim: &cosim},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -459,10 +459,13 @@ func TestSubmitValidation(t *testing.T) {
 		{},
 		{Workload: "nosuchsource:x"},
 		{Workload: "synthetic:does-not-exist"},
-		{Workload: "synthetic:470.lbm", Mode: "sideways"},
-		{Workload: "synthetic:470.lbm", Passes: "nosuchpass"},
-		{Workload: "synthetic:470.lbm", OptLevel: intp(0), Passes: "dce"},
-		{Workload: "synthetic:470.lbm", CCSize: 2, CCPolicy: "nosuchpolicy"},
+		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{Mode: "sideways"}},
+		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{Passes: "nosuchpass"}},
+		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{OptLevel: intp(0), Passes: "dce"}},
+		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{CCSize: intp(2), CCPolicy: "nosuchpolicy"}},
+		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{ISA: "sparc"}},
+		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{Sample: &darco.SamplePlan{}}},
+		{Workload: "synthetic:470.lbm", Scale: -5},
 	}
 	for i, req := range bad {
 		_, err := c.Submit(ctx, req)

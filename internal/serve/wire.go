@@ -10,15 +10,17 @@ import (
 // that reads cmd/darco-suite -json output.
 
 // SubmitRequest is the body of POST /jobs: a workload Source-registry
-// reference plus the run configuration, mirroring the
-// darco.WithWorkload / ApplyPipelineFlags / ApplyCacheFlags semantics
-// of the command-line tools. Config, when present, replaces the
-// server's base configuration; the flag-style fields are then applied
-// on top exactly like the cmd flags, so a client can send either a
-// full resolved Config or just the knobs it cares about.
+// reference plus the run configuration. Config, when present, replaces
+// the server's base configuration; the embedded darco.Knobs fields
+// (mode, isa, opt_level, passes, promote, cc_size, cc_policy, cosim,
+// max_cycles, stream_batch, sample, no_sample, timing) are then folded
+// on top exactly as a command line or a grid cell folds them, so a
+// client can send either a full resolved Config or just the knobs it
+// cares about.
 type SubmitRequest struct {
 	// Workload is the Source-registry reference ("<source>:<name>"; a
-	// bare name means synthetic). It is resolved on the server.
+	// bare name means synthetic). It is resolved on the server, through
+	// the catalog of the requested ISA (workload.RefForISA).
 	Workload string `json:"workload"`
 	// Scale is the dynamic-size multiplier (0 means 1.0).
 	Scale float64 `json:"scale,omitempty"`
@@ -31,17 +33,7 @@ type SubmitRequest struct {
 	// (darco.Config JSON; the Progress hook does not travel).
 	Config *darco.Config `json:"config,omitempty"`
 
-	// Flag-style overrides, applied on top of the base (or Config):
-	// the exact semantics of the -mode/-O/-passes/-promote/-cc-size/
-	// -cc-policy/-cosim flags of the cmds.
-	Mode      string `json:"mode,omitempty"`
-	OptLevel  *int   `json:"opt_level,omitempty"`
-	Passes    string `json:"passes,omitempty"`
-	Promote   string `json:"promote,omitempty"`
-	CCSize    int    `json:"cc_size,omitempty"`
-	CCPolicy  string `json:"cc_policy,omitempty"`
-	Cosim     *bool  `json:"cosim,omitempty"`
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
+	darco.Knobs
 }
 
 // SubmitResponse is the body of a 202 from POST /jobs.

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,15 +17,15 @@ func testGrid() *Grid {
 		Name:      "t",
 		Workloads: []string{"462.libquantum", "429.mcf"},
 		Scale:     0.1,
-		Base:      &Knobs{Mode: "shared"},
+		Base:      &darco.Knobs{Mode: "shared"},
 		Axes: []Axis{
 			{Name: "promotion", Values: []Value{
 				{Name: "default"},
-				{Name: "eager", Knobs: Knobs{Promote: "adaptive"}},
+				{Name: "eager", Knobs: darco.Knobs{Promote: "adaptive"}},
 			}},
 			{Name: "batch", Values: []Value{
-				{Name: "256", Knobs: Knobs{StreamBatch: 256}},
-				{Name: "1024", Knobs: Knobs{StreamBatch: 1024}},
+				{Name: "256", Knobs: darco.Knobs{StreamBatch: 256}},
+				{Name: "1024", Knobs: darco.Knobs{StreamBatch: 1024}},
 			}},
 		},
 	}
@@ -180,14 +182,14 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 
 	// A mode-only change keeps the preload shortcut (records are keyed
 	// by mode); any other deviation opts out.
-	j, err := JobFor(p, "462.libquantum", 1, base, &Knobs{Mode: "tol-only"})
+	j, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "tol-only"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.NoPreload {
 		t.Fatal("mode-only change disabled preload")
 	}
-	j, err = JobFor(p, "462.libquantum", 1, base, &Knobs{Mode: "shared"}, &Knobs{StreamBatch: 256})
+	j, err = JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "shared"}, &darco.Knobs{StreamBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	// An explicit cc_size 0 restores the unbounded cache and clears a
 	// policy a base or earlier knob set.
 	j, err = JobFor(p, "462.libquantum", 1, base,
-		&Knobs{CCSize: intp(512), CCPolicy: "flush-all"}, &Knobs{CCSize: intp(0)})
+		&darco.Knobs{CCSize: intp(512), CCPolicy: "flush-all"}, &darco.Knobs{CCSize: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +214,14 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	}
 
 	// Invalid knob combinations fail at job construction.
-	if _, err := JobFor(p, "462.libquantum", 1, base, &Knobs{Mode: "warp-speed"}); err == nil {
+	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "warp-speed"}); err == nil {
 		t.Fatal("bad mode accepted")
 	}
-	if _, err := JobFor(p, "462.libquantum", 1, base, &Knobs{CCPolicy: "flush-all"}); err == nil {
+	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{CCPolicy: "flush-all"}); err == nil {
 		t.Fatal("policy without capacity accepted")
 	}
 	bad := -1
-	if _, err := JobFor(p, "462.libquantum", 1, base, &Knobs{Sample: &SamplePlan{Every: bad}}); err == nil {
+	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Sample: &darco.SamplePlan{Every: bad}}); err == nil {
 		t.Fatal("bad sample plan accepted")
 	}
 }
@@ -233,4 +235,52 @@ func jobConfig(t *testing.T, j darco.Job) darco.Config {
 		o(&cfg)
 	}
 	return cfg
+}
+
+// TestCommittedGridSpecsResolve loads every grid spec under
+// examples/grids and resolves every cell into a keyed job, so a spec
+// that names a knob, value or workload the engine no longer accepts
+// fails here rather than in the middle of a sweep.
+func TestCommittedGridSpecsResolve(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/grids/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed grid specs found")
+	}
+	base := darco.DefaultConfig()
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := DecodeGrid(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		cells, err := g.Cells()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		t.Logf("%s: %d cells", path, len(cells))
+		for _, cell := range cells {
+			ref := workload.RefForISA(cell.Workload, g.isaFor(base, cell))
+			p, err := workload.Open(ref)
+			if err == nil {
+				p, err = workload.ScaleProgram(p, g.Scale)
+			}
+			if err != nil {
+				t.Fatalf("%s: cell %d: %v", path, cell.Index, err)
+			}
+			j, err := JobFor(p, ref, g.Scale, base, g.knobsFor(cell)...)
+			if err == nil {
+				_, err = j.Key()
+			}
+			if err != nil {
+				t.Fatalf("%s: cell %d %v: %v", path, cell.Index, cell.Coords, err)
+			}
+		}
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/darco"
 )
 
 // TestISAAxis runs one benchmark name across a two-cell ISA axis: each
@@ -17,8 +19,8 @@ func TestISAAxis(t *testing.T) {
 		Scale:     0.05,
 		Axes: []Axis{
 			{Name: "isa", Values: []Value{
-				{Name: "x86", Knobs: Knobs{ISA: "x86"}},
-				{Name: "rv32", Knobs: Knobs{ISA: "rv32"}},
+				{Name: "x86", Knobs: darco.Knobs{ISA: "x86"}},
+				{Name: "rv32", Knobs: darco.Knobs{ISA: "rv32"}},
 			}},
 		},
 	}

@@ -16,10 +16,10 @@ func runTestGrid() *Grid {
 		Name:      "exec",
 		Workloads: []string{"462.libquantum", "429.mcf"},
 		Scale:     0.1,
-		Base:      &Knobs{Mode: "shared"},
+		Base:      &darco.Knobs{Mode: "shared"},
 		Axes: []Axis{{Name: "batch", Values: []Value{
 			{Name: "default"},
-			{Name: "256", Knobs: Knobs{StreamBatch: 256}},
+			{Name: "256", Knobs: darco.Knobs{StreamBatch: 256}},
 		}}},
 		Baseline: map[string]string{"batch": "default"},
 	}

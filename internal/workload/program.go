@@ -3,6 +3,7 @@ package workload
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -73,8 +74,12 @@ func Fingerprint(p Program) string {
 // ScaleProgram applies a dynamic-size factor to a program. Factors 0
 // and 1 are identity for every program; any other factor requires the
 // program to implement Scalable and errors otherwise, so a -scale flag
-// cannot silently be ignored on a trace replay.
+// cannot silently be ignored on a trace replay. Negative, NaN and
+// infinite factors are rejected.
 func ScaleProgram(p Program, f float64) (Program, error) {
+	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("workload: scale %g for %q is not a finite non-negative factor", f, p.Name())
+	}
 	if f == 0 || f == 1 {
 		return p, nil
 	}

@@ -5,14 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/guest"
-	"repro/internal/x86emu"
 )
 
 // imageHash fingerprints a built guest image: code, data segments,
@@ -180,6 +181,30 @@ func TestScaleProgram(t *testing.T) {
 	}
 }
 
+// TestScaleProgramRejectsBadFactors pins the one scale check every
+// surface goes through: negative, NaN and infinite factors fail for
+// scalable and fixed-image programs alike.
+func TestScaleProgramRejectsBadFactors(t *testing.T) {
+	p, err := Open("401.bzip2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []Program{p, tr.Program()} {
+		for _, f := range []float64{-5, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := ScaleProgram(prog, f); err == nil {
+				t.Errorf("%s: scale %g accepted", prog.Meta().Source, f)
+			}
+		}
+	}
+	if _, err := ScaleProgram(p, 0.25); err != nil {
+		t.Fatalf("positive scale rejected: %v", err)
+	}
+}
+
 // TestFileSource loads specs from single-object and multi-spec JSON
 // files, including fragment selection and typo rejection.
 func TestFileSource(t *testing.T) {
@@ -330,12 +355,12 @@ func TestPhasedProgram(t *testing.T) {
 	if img.StaticInst <= sp.StaticInst {
 		t.Fatalf("composite static %d not larger than member %d", img.StaticInst, sp.StaticInst)
 	}
-	e := x86emu.New(img)
+	e := emu.New(img)
 	if err := e.Run(200_000_000); err != nil {
 		t.Fatalf("phased run: %v", err)
 	}
 	// Dynamic size must exceed the first member alone: later phases ran.
-	es := x86emu.New(sp)
+	es := emu.New(sp)
 	if err := es.Run(200_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +398,7 @@ func TestPhasedDispatcherTablesDistinct(t *testing.T) {
 	if addrs[0] == addrs[1] {
 		t.Fatalf("jump tables alias at 0x%x", addrs[0])
 	}
-	e := x86emu.New(img)
+	e := emu.New(img)
 	if err := e.Run(200_000_000); err != nil {
 		t.Fatalf("dispatcher composite run: %v", err)
 	}

@@ -17,7 +17,7 @@
 //
 // References are recognized inside backticks as <pkg>.<Exported> with
 // an optional .<Member> tail, where <pkg> is one of the repository's
-// package names (guest, emu, x86emu, host, mem, tol, timing, darco,
+// package names (guest, emu, host, mem, tol, timing, darco,
 // workload, experiments, sweep, stats, store, serve, snapshot,
 // sample, fuzz).
 // Member references are checked
@@ -42,7 +42,6 @@ import (
 var packages = map[string]string{
 	"guest":       "internal/guest",
 	"emu":         "internal/emu",
-	"x86emu":      "internal/x86emu",
 	"host":        "internal/host",
 	"mem":         "internal/mem",
 	"tol":         "internal/tol",
