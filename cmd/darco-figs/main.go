@@ -34,7 +34,9 @@
 // -grid replaces the built-in figures with a declarative
 // characterization grid (internal/sweep): a JSON spec naming workloads
 // and knob axes; every cell simulates through the same session and the
-// report lands on stdout as a table, CSV (-csv) or JSON (-json).
+// report lands on stdout as a table, CSV (-csv) or JSON (-json). The
+// spec names its own workloads and axes, so -grid refuses -fig, -from,
+// -benchmarks, -workload, -phases and -phase-cap.
 // -store attaches a content-addressed result store — completed cells
 // persist, so an interrupted sweep resumes where it stopped — and
 // -shard i/n runs one deterministic 1/n slice of the cells, so a grid
@@ -48,10 +50,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"repro/internal/darco"
 	"repro/internal/experiments"
+	"repro/internal/sample"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -60,7 +64,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5a, 5b, 6, 7, 7b, 8, 9, 10, 11, cc, phase, sample, all ('all' excludes the cc, phase and sample sweeps)")
+	fig := flag.String("fig", "all", "figure to regenerate: 5 (5a+5b), 5a, 5b, 6, 7, 7b, 8, 9, 10, 11, cc, phase, sample, all ('all' excludes the cc, phase and sample sweeps)")
 	scale := flag.Float64("scale", 1.0, "workload dynamic-size multiplier")
 	csv := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit the tables as JSON")
@@ -80,6 +84,15 @@ func main() {
 	storeDir := flag.String("store", "", "content-addressed result store directory; completed work persists there and re-runs resume from it")
 	shard := flag.String("shard", "", "with -grid, run only this deterministic slice of the cells, as i/n (e.g. 0/4)")
 	flag.Parse()
+	if *gridSpec != "" {
+		if err := checkGridFlags(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, "darco-figs:", err)
+			os.Exit(2)
+		}
+	} else if *shard != "" {
+		fmt.Fprintln(os.Stderr, "darco-figs: -shard only applies to -grid sweeps")
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -136,8 +149,9 @@ func main() {
 		}
 		return
 	}
-	if *shard != "" {
-		fmt.Fprintln(os.Stderr, "darco-figs: -shard only applies to -grid sweeps")
+	figs, err := selectFigures(*fig, figureTable(*phases, *phaseCap, samplePlan))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "darco-figs:", err)
 		os.Exit(2)
 	}
 	if *benches != "" {
@@ -166,124 +180,117 @@ func main() {
 	}
 
 	var jsonTables []*stats.Table
-	emit := func(t *stats.Table) {
-		switch {
-		case *jsonOut:
-			jsonTables = append(jsonTables, t)
-		case *csv:
-			fmt.Print(t.CSV())
-			fmt.Println()
-		default:
-			fmt.Print(t.String())
-			fmt.Println()
-		}
-	}
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-
-	if want("5a") || want("5b") || want("5") {
-		ta, tb, err := r.Fig5()
+	for _, f := range figs {
+		tables, err := f.run(r)
 		if err != nil {
-			die(err)
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		if want("5a") || want("5") {
-			emit(ta)
+		for _, t := range tables {
+			switch {
+			case *jsonOut:
+				jsonTables = append(jsonTables, t)
+			case *csv:
+				fmt.Print(t.CSV())
+				fmt.Println()
+			default:
+				fmt.Print(t.String())
+				fmt.Println()
+			}
 		}
-		if want("5b") || want("5") {
-			emit(tb)
-		}
-	}
-	if want("6") {
-		t, err := r.Fig6()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("7") {
-		t, err := r.Fig7()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("7b") {
-		t, err := r.Fig7b()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("8") {
-		t, err := r.Fig8()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("9") {
-		t, err := r.Fig9()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("10") {
-		t, err := r.Fig10()
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	if want("11") {
-		ta, tb, err := r.Fig11()
-		if err != nil {
-			die(err)
-		}
-		emit(ta)
-		emit(tb)
-	}
-	// The cache-pressure sweep runs 1 + 3×len(capacities) simulations
-	// per benchmark, so it is opt-in and not part of "all"; restrict it
-	// with -benchmarks for quick sweeps.
-	if *fig == "cc" {
-		t, err := r.FigCC(nil)
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	// The phase sweep simulates composites of growing length, so it is
-	// opt-in too; -benchmarks restricts the member pool.
-	if *fig == "phase" {
-		t, err := r.FigPhase(*phases, *phaseCap)
-		if err != nil {
-			die(err)
-		}
-		emit(t)
-	}
-	// The sampling sweep runs every benchmark twice (full + sampled) and
-	// times both legs, so it is opt-in as well; -sample/-interval/-warmup
-	// override its default plan.
-	if *fig == "sample" {
-		t, err := r.FigSample(samplePlan)
-		if err != nil {
-			die(err)
-		}
-		emit(t)
 	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(jsonTables); err != nil {
-			die(err)
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
+}
+
+// figure is one -fig selection: its id and the tables it emits.
+type figure struct {
+	id  string
+	all bool // part of -fig all
+	run func(r *experiments.Runner) ([]*stats.Table, error)
+}
+
+// figureTable lists every -fig id in output order. "5" and "11" emit
+// both halves of their figure; the cc, phase and sample sweeps
+// simulate many configurations per benchmark, so they run only when
+// named: cc runs 1 + 3×len(capacities) simulations per benchmark (use
+// -benchmarks for quick sweeps), phase simulates composites of growing
+// length (-benchmarks restricts the member pool), and sample runs every
+// benchmark twice and times both legs (-sample/-interval/-warmup
+// override its default plan).
+func figureTable(phases, phaseCap int, samplePlan *sample.Config) []figure {
+	one := func(fig func(r *experiments.Runner) (*stats.Table, error)) func(r *experiments.Runner) ([]*stats.Table, error) {
+		return func(r *experiments.Runner) ([]*stats.Table, error) {
+			t, err := fig(r)
+			return []*stats.Table{t}, err
+		}
+	}
+	pair := func(fig func(r *experiments.Runner) (*stats.Table, *stats.Table, error), keep ...int) func(r *experiments.Runner) ([]*stats.Table, error) {
+		return func(r *experiments.Runner) ([]*stats.Table, error) {
+			a, b, err := fig(r)
+			both := []*stats.Table{a, b}
+			var out []*stats.Table
+			for _, i := range keep {
+				out = append(out, both[i])
+			}
+			return out, err
+		}
+	}
+	return []figure{
+		{"5", true, pair((*experiments.Runner).Fig5, 0, 1)},
+		{"5a", false, pair((*experiments.Runner).Fig5, 0)},
+		{"5b", false, pair((*experiments.Runner).Fig5, 1)},
+		{"6", true, one((*experiments.Runner).Fig6)},
+		{"7", true, one((*experiments.Runner).Fig7)},
+		{"7b", true, one((*experiments.Runner).Fig7b)},
+		{"8", true, one((*experiments.Runner).Fig8)},
+		{"9", true, one((*experiments.Runner).Fig9)},
+		{"10", true, one((*experiments.Runner).Fig10)},
+		{"11", true, pair((*experiments.Runner).Fig11, 0, 1)},
+		{"cc", false, one(func(r *experiments.Runner) (*stats.Table, error) { return r.FigCC(nil) })},
+		{"phase", false, one(func(r *experiments.Runner) (*stats.Table, error) { return r.FigPhase(phases, phaseCap) })},
+		{"sample", false, one(func(r *experiments.Runner) (*stats.Table, error) { return r.FigSample(samplePlan) })},
+	}
+}
+
+// selectFigures resolves a -fig value against the table: "all" selects
+// the figures marked all, in table order; any other value must be an id.
+func selectFigures(id string, table []figure) ([]figure, error) {
+	var out []figure
+	valid := []string{"all"}
+	for _, f := range table {
+		if id == f.id || id == "all" && f.all {
+			out = append(out, f)
+		}
+		valid = append(valid, f.id)
+	}
+	if out == nil {
+		return nil, fmt.Errorf("unknown -fig %q (valid: %s)", id, strings.Join(valid, ", "))
+	}
+	return out, nil
+}
+
+// checkGridFlags refuses every flag set on the command line that a
+// -grid run would silently drop: the spec names its own workloads and
+// axes, and the figure selection and its sweep parameters do not apply.
+func checkGridFlags(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains([]string{"fig", "from", "benchmarks", "workload", "phases", "phase-cap"}, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if set != nil {
+		return fmt.Errorf("%s cannot be combined with -grid (the spec names its own workloads and axes)", strings.Join(set, ", "))
+	}
+	return nil
 }
 
 // runGrid executes one declarative sweep spec on the flag-built base

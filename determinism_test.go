@@ -89,11 +89,26 @@ func TestFiguresDeterministicAcrossJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		add(t6)
+		t7, err := r.Fig7()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(t7)
+		t7b, err := r.Fig7b()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(t7b)
 		t8, err := r.Fig8()
 		if err != nil {
 			t.Fatal(err)
 		}
 		add(t8)
+		t9, err := r.Fig9()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(t9)
 		t10, err := r.Fig10()
 		if err != nil {
 			t.Fatal(err)

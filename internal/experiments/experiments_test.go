@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/darco"
+	"repro/internal/timing"
 )
 
 // testRunner builds a small-session runner over three contrasting
@@ -235,4 +237,91 @@ func fscan(cell string, v *float64) (int, error) {
 		return 0, nil
 	}
 	return fmt.Sscan(cell, v)
+}
+
+// countRuns counts the "run " progress lines a runner logged — one per
+// simulated (not memoized or preloaded) job.
+func countRuns(log string) int {
+	n := 0
+	for _, line := range strings.Split(log, "\n") {
+		if strings.HasPrefix(line, "run ") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFig10ReusesSharedLegs: Figure 10 reads the shared and split legs
+// of every workload from the mode grid, so after Figure 6 has run the
+// shared legs, Figure 10 simulates exactly the split ones.
+func TestFig10ReusesSharedLegs(t *testing.T) {
+	var log bytes.Buffer
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	opts.Benchmarks = []string{"470.lbm", "462.libquantum"}
+	opts.Config.TOL.Cosim = false
+	opts.Log = &log
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Fig6(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countRuns(log.String()); n != len(opts.Benchmarks) {
+		t.Fatalf("Fig6 simulated %d jobs, want %d:\n%s", n, len(opts.Benchmarks), log.String())
+	}
+	log.Reset()
+	if _, err := r.Fig10(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countRuns(log.String()); n != len(opts.Benchmarks) {
+		t.Fatalf("Fig10 after Fig6 simulated %d jobs, want %d (split legs only):\n%s",
+			n, len(opts.Benchmarks), log.String())
+	}
+	if strings.Contains(log.String(), "shared") {
+		t.Errorf("Fig10 re-simulated a shared leg:\n%s", log.String())
+	}
+}
+
+// TestPreloadServesFigures: a runner preloaded with another runner's
+// shared results as darco.Records regenerates Figure 6 without
+// simulating, byte-identically.
+func TestPreloadServesFigures(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	opts.Benchmarks = []string{"470.lbm", "400.perlbench"}
+	opts.Config.TOL.Cosim = false
+	a, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := a.runModes(timing.ModeShared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		opts.Preload = append(opts.Preload,
+			darco.NewRecord(w[0].Name, w[0].Suite, opts.Scale, timing.ModeShared, w[0].Result, nil))
+	}
+	var log bytes.Buffer
+	opts.Log = &log
+	b, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countRuns(log.String()); n != 0 {
+		t.Errorf("preloaded Fig6 simulated %d jobs:\n%s", n, log.String())
+	}
+	if got.String() != want.String() {
+		t.Errorf("preloaded Fig6 differs:\n%s\nwant:\n%s", got, want)
+	}
 }

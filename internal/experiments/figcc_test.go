@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/darco"
+	"repro/internal/timing"
 	"repro/internal/tol"
 )
 
@@ -25,10 +26,11 @@ func TestFigCCSweepShape(t *testing.T) {
 	}
 	// Derive a capacity that guarantees pressure from the benchmark's
 	// own unbounded footprint.
-	base, err := r.Shared("006.jpg2000dec")
+	ws, err := r.runModes(timing.ModeShared)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := ws[0][0].Result
 	tight := base.CodeCacheInsts / 2
 	if tight < tol.MinCacheCapacityInsts {
 		tight = tol.MinCacheCapacityInsts

@@ -9,7 +9,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/timing"
-	"repro/internal/workload"
 )
 
 // FigSample characterizes the checkpoint/sampling subsystem: every
@@ -64,7 +63,7 @@ func (r *Runner) FigSample(plan *sample.Config) (*stats.Table, error) {
 	// other figures must not serve either leg, or the timings would
 	// measure a map lookup.
 	base := r.opts.Config
-	rs, err := sweep.Run(r.ctx(), sampleGrid(r.workloadRefs(), sc, r.opts.Scale),
+	rs, err := sweep.Run(r.opts.Context, sampleGrid(r.refs, sc, r.opts.Scale),
 		sweep.Options{Config: &base, Jobs: r.opts.Jobs, Sequential: true})
 	if err != nil {
 		return nil, err
@@ -76,15 +75,13 @@ func (r *Runner) FigSample(plan *sample.Config) (*stats.Table, error) {
 		"benchmark", "suite", "full-cycles", "est-cycles", "err%", "ci95%",
 		"measured", "full-s", "sampled-s", "speedup")
 	var sumErr, worstErr, sumSpeed float64
-	n := 0
-	err = r.forEach(func(p workload.Program) error {
-		fullRow := rs.Lookup(p.Name(), "full")
-		sampledRow := rs.Lookup(p.Name(), "sampled")
+	for i := 0; i < len(rs.Rows); i += 2 {
+		fullRow, sampledRow := rs.Rows[i], rs.Rows[i+1] // the sim axis: full, then sampled
 		full, sampled := fullRow.Result, sampledRow.Result
 		fullDur, sampDur := fullRow.Elapsed, sampledRow.Elapsed
 		rep := sampled.Sampled
 		if rep == nil {
-			return fmt.Errorf("experiments: sampled run of %s carries no report", p.Name())
+			return nil, fmt.Errorf("experiments: sampled run of %s carries no report", fullRow.Name)
 		}
 
 		fullCyc := float64(full.Timing.Cycles)
@@ -100,7 +97,7 @@ func (r *Runner) FigSample(plan *sample.Config) (*stats.Table, error) {
 		if sampDur > 0 {
 			speed = float64(fullDur) / float64(sampDur)
 		}
-		t.AddRow(p.Name(), p.Meta().Suite,
+		t.AddRow(fullRow.Name, fullRow.Suite,
 			fmt.Sprint(full.Timing.Cycles),
 			fmt.Sprint(rep.EstCycles),
 			fmt.Sprintf("%.2f", errPct),
@@ -114,12 +111,8 @@ func (r *Runner) FigSample(plan *sample.Config) (*stats.Table, error) {
 			worstErr = errPct
 		}
 		sumSpeed += speed
-		n++
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
+	n := len(rs.Rows) / 2
 	if n > 0 {
 		t.AddRow("AVG", "", "", "",
 			fmt.Sprintf("%.2f", sumErr/float64(n)), "", "", "", "",
