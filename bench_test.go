@@ -171,9 +171,11 @@ func BenchmarkEngineFunctional(b *testing.B) {
 // BenchmarkFullPipeline measures engine + timing simulator end to end.
 func BenchmarkFullPipeline(b *testing.B) {
 	p := buildHotLoop(10_000)
+	cfg := darco.DefaultConfig()
+	cfg.TOL.Cosim = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := darco.Run(context.Background(), p, darco.WithCosim(false))
+		res, err := cfg.Run(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,8 +28,9 @@
 // engine is deterministic, so the regenerated tables are identical for
 // any worker count. -from preloads full results from JSON records
 // emitted by cmd/darco or cmd/darco-suite -json, so figures can be
-// reassembled without re-simulating the preloaded (benchmark, mode)
-// pairs. -json emits the tables themselves as JSON.
+// reassembled without re-simulating: each record serves the figure
+// cell of its benchmark and mode under this command's configuration.
+// -json emits the tables themselves as JSON.
 //
 // -grid replaces the built-in figures with a declarative
 // characterization grid (internal/sweep): a JSON spec naming workloads

@@ -125,7 +125,7 @@ func main() {
 	sess := darco.NewSession(sessOpts...)
 	var sessJobs []darco.Job
 	for _, ref := range refs {
-		job, err := darco.WithWorkload(ref, *scale, darco.WithConfig(cfg))
+		job, err := darco.WithWorkload(ref, *scale, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "darco-suite:", err)
 			os.Exit(2)

@@ -112,7 +112,7 @@ func main() {
 	}
 	var sessJobs []darco.Job
 	for _, ref := range refs {
-		job, err := darco.WithWorkload(ref, *scale, darco.WithConfig(cfg))
+		job, err := darco.WithWorkload(ref, *scale, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

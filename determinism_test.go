@@ -17,6 +17,8 @@ import (
 // guarantee that lets the figure harness parallelize the paper's
 // sweeps.
 func TestSessionConcurrentMatchesSequential(t *testing.T) {
+	cfg := darco.DefaultConfig()
+	cfg.TOL.Cosim = false
 	jobsFor := func() []darco.Job {
 		var jobs []darco.Job
 		for _, name := range figSubset {
@@ -29,7 +31,7 @@ func TestSessionConcurrentMatchesSequential(t *testing.T) {
 				Name:    spec.Name,
 				Variant: "scale=0.25",
 				Program: workload.SpecProgram{Spec: spec},
-				Opts:    []darco.Option{darco.WithCosim(false)},
+				Config:  cfg,
 			})
 		}
 		return jobs

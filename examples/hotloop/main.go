@@ -47,7 +47,7 @@ func main() {
 		}
 		cfg := darco.DefaultConfig()
 		cc.mut(&cfg)
-		res, err := darco.Run(context.Background(), p, darco.WithConfig(cfg))
+		res, err := cfg.Run(context.Background(), p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,9 +32,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tc := darco.DefaultConfig().TOL
-		tc.EnableIBTC = ibtc
-		res, err := darco.Run(context.Background(), p, darco.WithTOLConfig(tc))
+		cfg := darco.DefaultConfig()
+		cfg.TOL.EnableIBTC = ibtc
+		res, err := cfg.Run(context.Background(), p)
 		if err != nil {
 			log.Fatal(err)
 		}

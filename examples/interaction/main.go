@@ -33,7 +33,9 @@ func main() {
 		log.Fatal(err)
 	}
 	// Identical streams; timing-only experiment, so skip co-simulation.
-	ir, err := darco.RunInteraction(context.Background(), p, darco.WithCosim(false))
+	cfg := darco.DefaultConfig()
+	cfg.TOL.Cosim = false
+	ir, err := darco.RunInteraction(context.Background(), p, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/stats"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -32,6 +33,9 @@ func main() {
 		fmt.Sprintf("Phase behaviour under a %d-slot code cache", capacity),
 		"workload", "phases", "cc", "cycles", "evictions", "retrans", "cc-peak")
 
+	unbounded := darco.DefaultConfig()
+	bounded := unbounded
+	bounded.TOL.Cache = tol.CacheConfig{CapacityInsts: capacity, Policy: "lru-translation"}
 	sess := darco.NewSession()
 	for _, ref := range refs {
 		p, err := workload.Open(ref)
@@ -42,14 +46,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, bounded := range []bool{false, true} {
-			var opts []darco.Option
+		for _, cfg := range []darco.Config{unbounded, bounded} {
 			cc := "unbounded"
-			if bounded {
-				opts = append(opts, darco.WithCodeCache(capacity, "lru-translation"))
+			if cfg.TOL.Cache.CapacityInsts > 0 {
 				cc = fmt.Sprint(capacity)
 			}
-			res, err := sess.Run(context.Background(), darco.JobForProgram(p, 0.3, opts...))
+			res, err := sess.Run(context.Background(), darco.JobForProgram(p, 0.3, cfg))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -82,12 +84,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []darco.Option{darco.WithCodeCache(capacity, "lru-translation")}
-	direct, err := sess.Run(context.Background(), darco.JobForProgram(last, 0.3, opts...))
+	direct, err := sess.Run(context.Background(), darco.JobForProgram(last, 0.3, bounded))
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayed, err := sess.Run(context.Background(), darco.JobForProgram(replay, 0.3, opts...))
+	replayed, err := sess.Run(context.Background(), darco.JobForProgram(replay, 0.3, bounded))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,9 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run it on the co-designed processor. The context can cancel a
-	// long simulation mid-flight; options tweak the default config.
-	res, err := darco.Run(context.Background(), prog, darco.WithCosim(true))
+	// Run it on the co-designed processor under the paper's default
+	// configuration (co-simulation on). The context can cancel a long
+	// simulation mid-flight; edit a darco.DefaultConfig() and call its
+	// Run method to change the configuration.
+	res, err := darco.Run(context.Background(), prog)
 	if err != nil {
 		log.Fatal(err)
 	}

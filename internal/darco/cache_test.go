@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -42,17 +43,64 @@ func pressureLoop(loops, iters, outer int32) func() (*guest.Program, error) {
 	}
 }
 
+// TestSessionNoPreloadBypassesPreload checks that a preloaded result
+// serves only its own Job.Key: a job differing from the seeded one
+// only in its config misses, builds its program and simulates instead
+// of being served the preloaded result.
+func TestSessionNoPreloadBypassesPreload(t *testing.T) {
+	builds := 0
+	build := pressureLoop(4, 20, 1)
+	prog := workload.Func("p", func() (*guest.Program, error) {
+		builds++
+		return build()
+	})
+	sess := NewSession(WithWorkers(1))
+	seeded := JobForProgram(prog, 1, DefaultConfig())
+	key, err := seeded.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Poison the preload slot for this key: a job served from it
+	// would get the poisoned result back.
+	poisoned := &Result{Translations: -1}
+	sess.Preload(key, poisoned)
+
+	served, err := sess.Run(context.Background(), seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served != poisoned || builds != 0 {
+		t.Fatalf("seeded job was not served the preloaded result (builds=%d)", builds)
+	}
+
+	other := seeded
+	other.Config.TOL.Cache.CapacityInsts = 1 << 20
+	if k, _ := other.Key(); k == key {
+		t.Fatal("a config change left the key unchanged")
+	}
+	fresh, err := sess.Run(context.Background(), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == poisoned || fresh.Translations == -1 || builds != 1 {
+		t.Fatalf("config-deviating job was served the preloaded result (builds=%d)", builds)
+	}
+}
+
 // ccSweepJobs builds the cache-pressure sweep job list: the unbounded
 // baseline plus every policy at every capacity.
 func ccSweepJobs(build func() (*guest.Program, error)) []Job {
-	jobs := []Job{{Name: "pressure", Variant: "cc=inf", Program: workload.Func("pressure", build)}}
+	jobs := []Job{{Name: "pressure", Variant: "cc=inf", Program: workload.Func("pressure", build), Config: DefaultConfig()}}
 	for _, policy := range []string{"flush-all", "fifo-region", "lru-translation"} {
 		for _, capacity := range []int{2048, 1024, 512} {
+			cfg := DefaultConfig()
+			cfg.TOL.Cosim = true
+			cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: capacity, Policy: policy}
 			jobs = append(jobs, Job{
 				Name:    "pressure",
 				Variant: fmt.Sprintf("cc=%d/%s", capacity, policy),
 				Program: workload.Func("pressure", build),
-				Opts:    []Option{WithCosim(true), WithCodeCache(capacity, policy)},
+				Config:  cfg,
 			})
 		}
 	}
@@ -114,7 +162,9 @@ func TestBoundedWithoutPressureIsCycleIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Run(context.Background(), prog, WithCodeCache(1<<20, "fifo-region"))
+	cfg := DefaultConfig()
+	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: 1 << 20, Policy: "fifo-region"}
+	bounded, err := cfg.Run(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,41 +182,5 @@ func TestBoundedWithoutPressureIsCycleIdentical(t *testing.T) {
 	b, _ := json.Marshal(bounded)
 	if string(a) != string(b) {
 		t.Fatalf("bounded-but-unpressured run differs from unbounded:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestSessionNoPreloadBypassesPreload checks that sweep jobs which opt
-// out of preloading really simulate instead of being served a
-// preloaded result from a different configuration.
-func TestSessionNoPreloadBypassesPreload(t *testing.T) {
-	prog, err := pressureLoop(4, 20, 1)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	genuine, err := Run(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(WithWorkers(1))
-	// Poison the preload slot for this (name, mode): a job that honours
-	// preloads would get the poisoned result back.
-	poisoned := *genuine
-	poisoned.Translations = -1
-	sess.Preload("p", DefaultConfig().Mode, &poisoned)
-
-	build := func() (*guest.Program, error) { return prog, nil }
-	served, err := sess.Run(context.Background(), Job{Name: "p", Program: workload.Func("p", build)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Translations != -1 {
-		t.Fatal("job without NoPreload should have been served the preloaded result")
-	}
-	fresh, err := sess.Run(context.Background(), Job{Name: "p", Variant: "v2", Program: workload.Func("p", build), NoPreload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Translations == -1 {
-		t.Fatal("NoPreload job was served the preloaded result")
 	}
 }

@@ -5,26 +5,31 @@
 // infrastructure's architecture: the main interface for running
 // experiments.
 //
-// The host-facing API has three pillars:
+// A run is described by plain data. Config selects the TOL policies,
+// the host microarchitecture (paper Table I), the timing mode, the ISA
+// pin and the sampling plan; Knobs is the delta vocabulary the command
+// lines, grid cells and darco-serve submissions fold into a Config
+// (Knobs.Apply). The host-facing API has three pillars:
 //
-//   - Run(ctx, p, opts...): a context-aware single run configured with
-//     functional options (WithMode, WithTOLConfig, WithTiming,
-//     WithMaxCycles, WithCosim, WithPasses, WithOptLevel,
-//     WithPromotion, WithCodeCache, WithProgress). Cancelling ctx
-//     aborts the run promptly from inside the timing simulator's cycle
-//     loop; invalid configurations (unknown pass, promotion-policy or
-//     eviction-policy names, bad thresholds or cache bounds) are
-//     rejected by Config.Validate before simulating.
+//   - Config.Run(ctx, p): one context-aware run of a built program
+//     (Run is the DefaultConfig shorthand). Cancelling ctx aborts the
+//     run promptly from inside the timing simulator's cycle loop;
+//     invalid configurations (unknown pass, promotion-policy or
+//     eviction-policy names, bad thresholds, cache bounds or timing
+//     geometries) are rejected by Config.Validate before simulating.
 //   - Session: a concurrent batch executor with a worker pool and a
-//     config-hash memo cache, for the paper's many-benchmark sweeps
-//     (see session.go). The engine is fully deterministic, so
-//     concurrent Session results are identical to sequential ones.
+//     memo cache keyed by Job.Key — the workload variant plus the hash
+//     of the job's Config — for the paper's many-benchmark sweeps (see
+//     session.go). Session.Preload seeds that cache with results
+//     obtained elsewhere under the key they would have been computed
+//     under. The engine is fully deterministic, so concurrent Session
+//     results are identical to sequential ones.
 //   - JSON-serializable results: Result, Summary and Record marshal to
 //     JSON, making suite output machine-readable (cmd/darco-suite
 //     -json emits Records that cmd/darco-figs -from consumes).
 //
 // Programs come from the pluggable workload layer: a Job carries any
-// workload.Program, WithWorkload builds a Job from a
+// workload.Program and its Config, WithWorkload builds a Job from a
 // "<source>:<name>" reference (synthetic:, file:, trace:, phased:),
 // and JobForProgram/JobForSpec wrap already-resolved programs.
 //
@@ -111,22 +116,24 @@ func DefaultConfig() Config {
 // Validate rejects configurations that would fail mid-run or silently
 // simulate garbage (tol.Config.Validate: negative thresholds,
 // degenerate superblock bounds, unknown pass or promotion-policy
-// names, an empty pipeline with SBM enabled). Run, RunInteraction and
+// names, an empty pipeline with SBM enabled; timing.Config.Validate:
+// table geometries the simulator cannot build, a pipeline that cannot
+// make progress, negative latencies). Config.Run, RunInteraction and
 // Session.Run call it before simulating, so bad configs fail fast with
 // a clear error.
 func (c *Config) Validate() error {
-	if err := c.TOL.Validate(); err != nil {
+	err := c.TOL.Validate()
+	if err == nil {
+		err = c.Timing.Validate()
+	}
+	if err == nil && c.Sampling != nil {
+		err = c.Sampling.Validate()
+	}
+	if err == nil && c.ISA != "" {
+		_, err = guest.LookupISA(c.ISA)
+	}
+	if err != nil {
 		return fmt.Errorf("darco: invalid config: %w", err)
-	}
-	if c.Sampling != nil {
-		if err := c.Sampling.Validate(); err != nil {
-			return fmt.Errorf("darco: invalid config: %w", err)
-		}
-	}
-	if c.ISA != "" {
-		if _, err := guest.LookupISA(c.ISA); err != nil {
-			return fmt.Errorf("darco: invalid config: %w", err)
-		}
 	}
 	return nil
 }
@@ -256,33 +263,17 @@ func DecodeRecords(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// Run executes the program to completion under DefaultConfig modified
-// by the given options. Cancelling ctx aborts the simulation promptly
-// (the context is polled inside the timing simulator's cycle loop) and
-// returns ctx.Err().
-func Run(ctx context.Context, p *guest.Program, opts ...Option) (*Result, error) {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.run(ctx, p)
-}
-
-// RunConfig executes the program to completion under an explicit
-// configuration.
-//
-// Deprecated: RunConfig is the pre-context signature kept as a thin
-// shim during the API transition. Use Run with WithConfig (or the
-// individual With* options) instead.
-func RunConfig(p *guest.Program, cfg Config) (*Result, error) {
-	return Run(context.Background(), p, WithConfig(cfg))
+// Run executes the program to completion under DefaultConfig — the
+// shorthand for DefaultConfig().Run(ctx, p).
+func Run(ctx context.Context, p *guest.Program) (*Result, error) {
+	return DefaultConfig().Run(ctx, p)
 }
 
 // sampleEnv carries the execution-environment knobs of a sampled run
 // that live outside Config (and therefore outside the memo-cache key):
 // measurement parallelism, the fast-forward bundle cache, and the
 // workload fingerprint the bundles are keyed by. The zero value means
-// GOMAXPROCS parallelism with no warm-start cache — what a plain Run
+// GOMAXPROCS parallelism with no warm-start cache — what Config.Run
 // gets; Session fills it from its worker pool and persistent store.
 type sampleEnv struct {
 	parallel int
@@ -290,13 +281,15 @@ type sampleEnv struct {
 	program  string
 }
 
-// run is the single execution path behind Run, Session and the
-// experiment runners.
-func (cfg Config) run(ctx context.Context, p *guest.Program) (*Result, error) {
+// Run executes the program to completion under cfg: the single
+// execution path behind Run, RunInteraction and Session. Cancelling
+// ctx aborts the simulation promptly (the context is polled inside the
+// timing simulator's cycle loop) and returns ctx.Err().
+func (cfg Config) Run(ctx context.Context, p *guest.Program) (*Result, error) {
 	return cfg.runWith(ctx, p, sampleEnv{})
 }
 
-// runWith is run plus the sampled-execution environment.
+// runWith is Run plus the sampled-execution environment.
 func (cfg Config) runWith(ctx context.Context, p *guest.Program, env sampleEnv) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -395,13 +388,9 @@ type InteractionResult struct {
 	Split  *Result `json:"split"`
 }
 
-// RunInteraction performs the interaction experiment's two runs.
-// Options apply to both runs; the mode is overridden per leg.
-func RunInteraction(ctx context.Context, p *guest.Program, opts ...Option) (*InteractionResult, error) {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+// RunInteraction performs the interaction experiment's two runs under
+// cfg, overriding its mode per leg.
+func RunInteraction(ctx context.Context, p *guest.Program, cfg Config) (*InteractionResult, error) {
 	var out InteractionResult
 	for _, m := range []struct {
 		mode timing.Mode
@@ -412,7 +401,7 @@ func RunInteraction(ctx context.Context, p *guest.Program, opts ...Option) (*Int
 	} {
 		c := cfg
 		c.Mode = m.mode
-		r, err := c.run(ctx, p)
+		r, err := c.Run(ctx, p)
 		if err != nil {
 			return nil, fmt.Errorf("darco: %v run: %w", m.mode, err)
 		}

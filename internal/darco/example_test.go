@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/darco"
 	"repro/internal/guest"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -31,7 +32,7 @@ func ExampleRun() {
 		return
 	}
 
-	res, err := darco.Run(context.Background(), prog, darco.WithCosim(true))
+	res, err := darco.Run(context.Background(), prog)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -61,8 +62,8 @@ func ExampleSession() {
 	}
 	sess := darco.NewSession(darco.WithWorkers(2))
 	jobs := []darco.Job{
-		{Name: "count-40", Program: workload.Func("count-40", countdown(40))},
-		{Name: "count-60", Program: workload.Func("count-60", countdown(60))},
+		{Name: "count-40", Program: workload.Func("count-40", countdown(40)), Config: darco.DefaultConfig()},
+		{Name: "count-60", Program: workload.Func("count-60", countdown(60)), Config: darco.DefaultConfig()},
 	}
 	for _, br := range sess.RunBatch(context.Background(), jobs) {
 		if br.Err != nil {
@@ -77,11 +78,11 @@ func ExampleSession() {
 	// count-60: 121 guest insts, eax=0
 }
 
-// ExampleWithCodeCache bounds the translation code cache so the
-// working set no longer fits: TOL evicts translations under the
-// configured policy and transparently retranslates them on re-entry,
-// and the run reports the pressure in its statistics.
-func ExampleWithCodeCache() {
+// ExampleConfig_Run bounds the translation code cache so the working
+// set no longer fits: TOL evicts translations under the configured
+// policy and transparently retranslates them on re-entry, and the run
+// reports the pressure in its statistics.
+func ExampleConfig_Run() {
 	b := guest.NewBuilder()
 	b.MovRI(guest.ESI, 3) // outer repetitions: evicted loops re-enter
 	b.Label("outer")
@@ -104,8 +105,9 @@ func ExampleWithCodeCache() {
 		return
 	}
 
-	res, err := darco.Run(context.Background(), prog,
-		darco.WithCodeCache(256, "lru-translation"))
+	cfg := darco.DefaultConfig()
+	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: 256, Policy: "lru-translation"}
+	res, err := cfg.Run(context.Background(), prog)
 	if err != nil {
 		fmt.Println(err)
 		return

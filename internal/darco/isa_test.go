@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sample"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -41,7 +42,12 @@ func TestRV32EndToEndCosimO3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), p, WithOptLevel(3), WithCosim(true), WithISA("rv32"))
+	cfg := DefaultConfig()
+	cfg.ISA = "rv32"
+	if err := tol.ApplyOptLevel(&cfg.TOL, 3); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cfg.Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +75,13 @@ func TestRV32BoundedCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	free, err := Run(ctx, p, WithCosim(true))
+	free, err := Run(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Run(ctx, p, WithCosim(true), WithCodeCache(256, "lru-translation"))
+	cfg := DefaultConfig()
+	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: 256, Policy: "lru-translation"}
+	bounded, err := cfg.Run(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +105,13 @@ func TestRV32SampledMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	full, err := Run(ctx, p, WithCosim(false))
+	cfg := noCosim()
+	full, err := cfg.Run(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Run(ctx, p, WithCosim(false),
-		WithSampling(sample.Config{Interval: 5_000, Every: 2, Warmup: 500}))
+	cfg.Sampling = &sample.Config{Interval: 5_000, Every: 2, Warmup: 500}
+	sampled, err := cfg.Run(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +137,12 @@ func TestISAPinRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), px, WithISA("rv32")); err == nil ||
+	pinned := func(isa string) Config {
+		c := DefaultConfig()
+		c.ISA = isa
+		return c
+	}
+	if _, err := pinned("rv32").Run(context.Background(), px); err == nil ||
 		!strings.Contains(err.Error(), `pinned to ISA "rv32"`) {
 		t.Fatalf("x86 program under -isa rv32: err = %v, want pin rejection", err)
 	}
@@ -137,11 +151,11 @@ func TestISAPinRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), prv, WithISA("x86")); err == nil ||
+	if _, err := pinned("x86").Run(context.Background(), prv); err == nil ||
 		!strings.Contains(err.Error(), `pinned to ISA "x86"`) {
 		t.Fatalf("rv32 program under -isa x86: err = %v, want pin rejection", err)
 	}
-	if _, err := Run(context.Background(), prv, WithISA("z80")); err == nil ||
+	if _, err := pinned("z80").Run(context.Background(), prv); err == nil ||
 		!strings.Contains(err.Error(), "z80") {
 		t.Fatalf("unknown ISA accepted: %v", err)
 	}
@@ -154,11 +168,11 @@ func TestISAPinRejectsMismatch(t *testing.T) {
 // configuration.
 func TestSameNameAcrossISAsNeverAliases(t *testing.T) {
 	const name = "429.mcf"
-	x86Job, err := WithWorkload("synthetic:"+name, 0.05, WithCosim(false))
+	x86Job, err := WithWorkload("synthetic:"+name, 0.05, noCosim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rvJob, err := WithWorkload("rv32:"+name, 0.05, WithCosim(false))
+	rvJob, err := WithWorkload("rv32:"+name, 0.05, noCosim())
 	if err != nil {
 		t.Fatal(err)
 	}

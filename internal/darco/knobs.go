@@ -24,8 +24,8 @@ type Knobs struct {
 	// Mode selects the timing-simulator stream mode ("shared",
 	// "app-only", "tol-only", "split").
 	Mode string `json:"mode,omitempty"`
-	// ISA pins the run to one guest frontend ("x86" or "rv32") —
-	// WithISA semantics. Surfaces that take workload references
+	// ISA pins the run to one guest frontend ("x86" or "rv32"; see
+	// Config.ISA). Surfaces that take workload references
 	// redirect synthetic-catalog references to that frontend's catalog
 	// (workload.RefForISA), so an ISA knob sweeps the same benchmark
 	// name across frontends.
@@ -192,4 +192,17 @@ func (k *Knobs) Apply(cfg *Config) error {
 		cfg.Sampling = &sc
 	}
 	return nil
+}
+
+// ApplyCacheFlags applies a -cc-size/-cc-policy pair to a TOL config.
+// capacity <= 0 and empty policy mean "flag not given" and leave the
+// config untouched; Config.Validate rejects bad bounds and unknown
+// policies before simulating. Knobs is the full knob vocabulary.
+func ApplyCacheFlags(tc *tol.Config, capacity int, policy string) {
+	if capacity > 0 {
+		tc.Cache.CapacityInsts = capacity
+	}
+	if policy != "" {
+		tc.Cache.Policy = policy
+	}
 }

@@ -31,15 +31,19 @@ func hotProgram() *guest.Program {
 	return b.MustBuild()
 }
 
-func lowThreshold() Option {
-	return func(c *Config) { c.TOL.SBThreshold = 50 }
+// hotConfig lowers the superblock threshold so hotProgram reaches SBM.
+func hotConfig(cosim bool) Config {
+	c := DefaultConfig()
+	c.TOL.SBThreshold = 50
+	c.TOL.Cosim = cosim
+	return c
 }
 
 // TestRecordPassStatsRoundTrip: the per-pass SBM breakdown must
 // survive the Record JSON interchange (darco-suite -json →
 // darco-figs -from) exactly.
 func TestRecordPassStatsRoundTrip(t *testing.T) {
-	res, err := Run(context.Background(), hotProgram(), WithCosim(false), lowThreshold())
+	res, err := hotConfig(false).Run(context.Background(), hotProgram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +80,11 @@ func TestRecordPassStatsRoundTrip(t *testing.T) {
 // the figure harness rely on).
 func TestPipelineResultDeterminism(t *testing.T) {
 	run := func() string {
-		res, err := Run(context.Background(), hotProgram(), WithCosim(false),
-			lowThreshold(), WithPasses("dce,constprop,rle,sched"), WithPromotion("adaptive"))
+		cfg := hotConfig(false)
+		cfg.TOL.Passes = "dce,constprop,rle,sched"
+		cfg.TOL.OptLevel = ""
+		cfg.TOL.Promotion = "adaptive"
+		res, err := cfg.Run(context.Background(), hotProgram())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,25 +104,35 @@ func TestPipelineResultDeterminism(t *testing.T) {
 func TestRunValidatesConfig(t *testing.T) {
 	ctx := context.Background()
 	p := hotProgram()
+	with := func(edit func(*Config)) Config {
+		c := DefaultConfig()
+		edit(&c)
+		return c
+	}
+	bogusPasses := with(func(c *Config) { c.TOL.Passes = "bogus" })
 
-	if _, err := Run(ctx, p, WithPasses("bogus")); err == nil ||
+	if _, err := bogusPasses.Run(ctx, p); err == nil ||
 		!strings.Contains(err.Error(), "unknown pass") {
 		t.Fatalf("Run with bad pipeline: %v", err)
 	}
-	if _, err := Run(ctx, p, WithPromotion("bogus")); err == nil ||
+	if _, err := with(func(c *Config) { c.TOL.Promotion = "bogus" }).Run(ctx, p); err == nil ||
 		!strings.Contains(err.Error(), "unknown promotion policy") {
 		t.Fatalf("Run with bad policy: %v", err)
 	}
-	if _, err := Run(ctx, p, WithOptLevel(9)); err == nil ||
+	if _, err := with(func(c *Config) { c.TOL.OptLevel = "O9" }).Run(ctx, p); err == nil ||
 		!strings.Contains(err.Error(), "optimization level") {
 		t.Fatalf("Run with bad opt level: %v", err)
 	}
-	if _, err := RunInteraction(ctx, p, WithPasses("bogus")); err == nil {
+	if _, err := with(func(c *Config) { c.Timing.L1D.Assoc = 0 }).Run(ctx, p); err == nil ||
+		!strings.Contains(err.Error(), "L1D") {
+		t.Fatalf("Run with bad cache geometry: %v", err)
+	}
+	if _, err := RunInteraction(ctx, p, bogusPasses); err == nil {
 		t.Fatal("RunInteraction with bad pipeline succeeded")
 	}
 
-	// WithPasses("none") alone leaves SBM enabled: rejected.
-	if _, err := Run(ctx, p, WithPasses(tol.PassesNone)); err == nil ||
+	// Passes "none" alone leaves SBM enabled: rejected.
+	if _, err := with(func(c *Config) { c.TOL.Passes = tol.PassesNone }).Run(ctx, p); err == nil ||
 		!strings.Contains(err.Error(), "empty optimization pipeline") {
 		t.Fatalf("Run with empty pipeline + SBM: %v", err)
 	}
@@ -128,22 +145,31 @@ func TestRunValidatesConfig(t *testing.T) {
 		}
 	}))
 	job := Job{Name: "bad", Program: workload.Func("bad", func() (*guest.Program, error) { return p, nil }),
-		Opts: []Option{WithPasses("bogus")}}
+		Config: bogusPasses}
 	if _, err := sess.Run(ctx, job); err == nil {
 		t.Fatal("Session.Run with bad pipeline succeeded")
 	}
 	if _, err := sessEv.Run(ctx, job); err == nil {
 		t.Fatal("Session.Run with bad pipeline succeeded")
 	}
-	if failed != 1 {
-		t.Fatalf("expected one EventFailed, got %d", failed)
+	// A Job literal that leaves Config out has a zero Config, which
+	// fails validation instead of simulating garbage.
+	if _, err := sessEv.Run(ctx, Job{Name: "zero", Program: job.Program}); err == nil {
+		t.Fatal("Session.Run with a zero Config succeeded")
+	}
+	if failed != 2 {
+		t.Fatalf("expected two EventFailed, got %d", failed)
 	}
 }
 
 // TestWithOptLevelZero: O0 stops at BBM (no superblocks, no per-pass
 // stats) and still computes correctly.
 func TestWithOptLevelZero(t *testing.T) {
-	res, err := Run(context.Background(), hotProgram(), WithCosim(true), lowThreshold(), WithOptLevel(0))
+	cfg := hotConfig(true)
+	if err := tol.ApplyOptLevel(&cfg.TOL, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cfg.Run(context.Background(), hotProgram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +196,12 @@ func TestOptLevelsOrdered(t *testing.T) {
 	}
 	var prevCC int
 	for level := 1; level <= 3; level++ {
-		res, err := Run(context.Background(), p, WithCosim(true), WithOptLevel(level))
+		cfg := DefaultConfig()
+		cfg.TOL.Cosim = true
+		if err := tol.ApplyOptLevel(&cfg.TOL, level); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cfg.Run(context.Background(), p)
 		if err != nil {
 			t.Fatalf("O%d: %v", level, err)
 		}

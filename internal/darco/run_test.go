@@ -32,7 +32,7 @@ func longLoop(iters int32) *guest.Program {
 func TestRunCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, longLoop(1000), WithCosim(false))
+	_, err := noCosim().Run(ctx, longLoop(1000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -49,17 +49,17 @@ func TestRunCancelledMidSimulation(t *testing.T) {
 	const progressEvery = 50_000
 	var reports int
 	var cancelledAt uint64
-	_, err := Run(ctx, longLoop(100_000_000),
-		WithCosim(false),
-		WithMaxCycles(100_000_000_000),
-		WithProgressInterval(progressEvery),
-		WithProgress(func(p Progress) {
-			reports++
-			if reports == 2 {
-				cancelledAt = p.Cycles
-				cancel()
-			}
-		}))
+	cfg := noCosim()
+	cfg.MaxCycles = 100_000_000_000
+	cfg.ProgressEvery = progressEvery
+	cfg.Progress = func(p Progress) {
+		reports++
+		if reports == 2 {
+			cancelledAt = p.Cycles
+			cancel()
+		}
+	}
+	_, err := cfg.Run(ctx, longLoop(100_000_000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -74,13 +74,13 @@ func TestRunCancelledMidSimulation(t *testing.T) {
 
 func TestRunOptionsApply(t *testing.T) {
 	p := longLoop(2_000)
-	tc := timing.DefaultConfig()
-	tc.IssueWidth = 1
-	res1, err := Run(context.Background(), p, WithCosim(false), WithTiming(tc))
+	narrow := noCosim()
+	narrow.Timing.IssueWidth = 1
+	res1, err := narrow.Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(context.Background(), p, WithCosim(false))
+	res2, err := noCosim().Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,25 +91,6 @@ func TestRunOptionsApply(t *testing.T) {
 	if res1.GuestDyn() != res2.GuestDyn() {
 		t.Errorf("functional behaviour diverged across timing configs: %d vs %d",
 			res1.GuestDyn(), res2.GuestDyn())
-	}
-}
-
-// TestRunConfigShim checks the deprecated pre-context entry point
-// still matches the new API exactly.
-func TestRunConfigShim(t *testing.T) {
-	p := longLoop(2_000)
-	cfg := DefaultConfig()
-	cfg.TOL.Cosim = false
-	old, err := RunConfig(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nu, err := Run(context.Background(), p, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, nu) {
-		t.Error("RunConfig shim result differs from Run")
 	}
 }
 
@@ -125,7 +106,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), p, WithCosim(false))
+	res, err := noCosim().Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,17 +12,24 @@ import (
 	"repro/internal/workload"
 )
 
-// sampleTestOpts keeps the sampled-run tests fast: scaled-down TOL
+// sampleTestConfig keeps the sampled-run tests fast: scaled-down TOL
 // thresholds so all tiers engage on small programs.
-func sampleTestTOL() tol.Config {
-	tc := tol.DefaultConfig()
-	tc.SBThreshold = 20
-	return tc
+func sampleTestConfig() Config {
+	c := DefaultConfig()
+	c.TOL.SBThreshold = 20
+	return c
+}
+
+// sampledConfig is sampleTestConfig under the sampling plan sc.
+func sampledConfig(sc sample.Config) Config {
+	c := sampleTestConfig()
+	c.Sampling = &sc
+	return c
 }
 
 func openWorkload(t *testing.T, ref string, scale float64) Job {
 	t.Helper()
-	job, err := WithWorkload(ref, scale, WithTOLConfig(sampleTestTOL()))
+	job, err := WithWorkload(ref, scale, sampleTestConfig())
 	if err != nil {
 		t.Fatalf("open %s: %v", ref, err)
 	}
@@ -38,12 +45,12 @@ func TestSampledRunExactFunctionalOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	full, err := Run(context.Background(), p, WithTOLConfig(sampleTestTOL()))
+	full, err := sampleTestConfig().Run(context.Background(), p)
 	if err != nil {
 		t.Fatalf("full run: %v", err)
 	}
 	sc := sample.Config{Interval: 5_000, Every: 3, Warmup: 1_000}
-	sampled, err := Run(context.Background(), p, WithTOLConfig(sampleTestTOL()), WithSampling(sc))
+	sampled, err := sampledConfig(sc).Run(context.Background(), p)
 	if err != nil {
 		t.Fatalf("sampled run: %v", err)
 	}
@@ -80,7 +87,7 @@ func TestSampledSessionDeterminism(t *testing.T) {
 	sc := sample.Config{Interval: 4_000, Every: 2, Warmup: 500}
 	ref := "synthetic:429.mcf"
 
-	job, err := WithWorkload(ref, 0.05, WithTOLConfig(sampleTestTOL()), WithSampling(sc))
+	job, err := WithWorkload(ref, 0.05, sampledConfig(sc))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -88,7 +95,7 @@ func TestSampledSessionDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	direct, err := Run(context.Background(), p, WithTOLConfig(sampleTestTOL()), WithSampling(sc))
+	direct, err := sampledConfig(sc).Run(context.Background(), p)
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -111,9 +118,8 @@ func TestSampledSessionDeterminism(t *testing.T) {
 func TestSampledAndFullRunsDoNotShareCacheKey(t *testing.T) {
 	sc := sample.Config{Interval: 4_000, Every: 2}
 	fullJob := openWorkload(t, "synthetic:429.mcf", 0.05)
-	fullJob.NoPreload = true
 	sampledJob := fullJob
-	sampledJob.Opts = append(append([]Option{}, fullJob.Opts...), WithSampling(sc))
+	sampledJob.Config = sampledConfig(sc)
 
 	k1, err := fullJob.Key()
 	if err != nil {
@@ -138,7 +144,7 @@ func TestSnapshotRoundTripPhasedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	cfg := sampleTestTOL()
+	cfg := sampleTestConfig().TOL
 
 	drain := func(e *tol.Engine) []timing.DynInst {
 		var out []timing.DynInst

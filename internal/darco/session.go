@@ -14,12 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Job is one unit of batch work: a workload program plus the
-// configuration options of the run. Name identifies the benchmark (it
-// is the display label and the key Preload records match on); Variant
+// Job is one unit of batch work, as plain data: a workload program
+// plus the configuration of the run. Name identifies the benchmark (it
+// is the display label and the prefix of the memo key); Variant
 // distinguishes different programs sharing a Name — typically the
-// workload source and scale — and participates in the memo-cache key
-// alongside the hash of the resolved Config.
+// workload source and scale — and participates in the memo key
+// alongside the hash of Config. Key is the job's only cache identity.
 type Job struct {
 	Name    string
 	Variant string
@@ -28,14 +28,9 @@ type Job struct {
 	// spec, a recorded trace replay, a phased composite, or a
 	// hand-assembled program wrapped with workload.Func.
 	Program workload.Program
-	Opts    []Option
-
-	// NoPreload excludes the job from the preload shortcut. Preloaded
-	// Records are matched by (name, mode) only and carry no Config, so
-	// jobs that deliberately vary the configuration for one benchmark —
-	// e.g. the cache-pressure sweep's bounded-cache legs — must opt out
-	// or they would be served a result from a different configuration.
-	NoPreload bool
+	// Config is the complete configuration of the run. A zero Config
+	// is invalid: start from DefaultConfig.
+	Config Config
 
 	// Ref is the workload Source-registry reference the program was
 	// resolved from ("<source>:<name>"), when it was resolved from one
@@ -189,9 +184,8 @@ type Session struct {
 
 	sem chan struct{}
 
-	mu      sync.Mutex
-	cache   map[string]*sessionEntry
-	preload map[string]*Result
+	mu    sync.Mutex
+	cache map[string]*sessionEntry
 
 	evMu sync.Mutex
 }
@@ -208,7 +202,6 @@ func NewSession(opts ...SessionOption) *Session {
 	s := &Session{
 		workers: runtime.GOMAXPROCS(0),
 		cache:   make(map[string]*sessionEntry),
-		preload: make(map[string]*Result),
 	}
 	for _, o := range opts {
 		o(s)
@@ -239,8 +232,8 @@ func (s *Session) notify(job *Job, ev Event) {
 
 // JobForSpec builds the session job for one already-scaled synthetic
 // workload spec — the Spec-typed shorthand for JobForProgram.
-func JobForSpec(spec workload.Spec, scale float64, opts ...Option) Job {
-	return JobForProgram(workload.SpecProgram{Spec: spec}, scale, opts...)
+func JobForSpec(spec workload.Spec, scale float64, cfg Config) Job {
+	return JobForProgram(workload.SpecProgram{Spec: spec}, scale, cfg)
 }
 
 // JobForProgram builds the session job for one already-scaled workload
@@ -249,11 +242,7 @@ func JobForSpec(spec workload.Spec, scale float64, opts ...Option) Job {
 // fingerprint, so every tool keys identically and two programs sharing
 // a benchmark name (two traces recorded at different scales, a file:
 // spec named after a catalog entry) never alias one memoized result.
-// Non-synthetic programs opt out of the preload shortcut: preloaded
-// Records are matched by benchmark name only, and a trace or phased
-// program sharing a catalog name is not the run those records came
-// from.
-func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
+func JobForProgram(p workload.Program, scale float64, cfg Config) Job {
 	meta := p.Meta()
 	variant := fmt.Sprintf("src=%s|scale=%g", meta.Source, scale)
 	if meta.ISA != "" {
@@ -267,12 +256,11 @@ func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 		variant += "|id=" + fp
 	}
 	return Job{
-		Name:      p.Name(),
-		Variant:   variant,
-		Program:   p,
-		Opts:      opts,
-		NoPreload: meta.Source != workload.DefaultSource,
-		Scale:     scale,
+		Name:    p.Name(),
+		Variant: variant,
+		Program: p,
+		Config:  cfg,
+		Scale:   scale,
 	}
 }
 
@@ -282,7 +270,7 @@ func JobForProgram(p workload.Program, scale float64, opts ...Option) Job {
 // through the workload Source registry, applies the scale factor, and
 // returns the session job running it — the reference-string
 // counterpart of JobForSpec shared by the command-line tools.
-func WithWorkload(ref string, scale float64, opts ...Option) (Job, error) {
+func WithWorkload(ref string, scale float64, cfg Config) (Job, error) {
 	p, err := workload.Open(ref)
 	if err != nil {
 		return Job{}, err
@@ -291,52 +279,35 @@ func WithWorkload(ref string, scale float64, opts ...Option) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	job := JobForProgram(p, scale, opts...)
+	job := JobForProgram(p, scale, cfg)
 	job.Ref = ref
 	return job, nil
 }
 
-// resolve applies the job's options on top of DefaultConfig.
-func (j *Job) resolve() Config {
-	cfg := DefaultConfig()
-	for _, o := range j.Opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// cacheKey derives the memo key: the job name and variant plus the
-// hash of the JSON form of the resolved config (Progress is excluded
-// via json:"-", so observability hooks never fragment the cache). A
-// config that fails to marshal is an error: a nondeterministic
-// fallback key would not only defeat sharing, it would poison any
-// persistent ResultStore keyed by it across runs.
-func cacheKey(name, variant string, cfg *Config) (string, error) {
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("darco: config of job %q is not hashable: %w", name, err)
-	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	h.Write([]byte{0})
-	h.Write([]byte(variant))
-	h.Write([]byte{0})
-	h.Write(b)
-	return fmt.Sprintf("%s|%016x", name, h.Sum64()), nil
-}
-
 // Key returns the job's memo-cache key: "<name>|<16-hex-digit hash>"
 // over the name, the variant (workload source, scale and content
-// fingerprint) and the resolved configuration. It is the content
-// address of the run — equal keys mean interchangeable results — and
-// the key a persistent ResultStore files the record under. Invalid or
-// unhashable configurations are errors, mirroring Session.Run.
+// fingerprint) and the JSON form of Config (Progress is excluded via
+// json:"-", so observability hooks never fragment the cache). It is
+// the content address of the run — equal keys mean interchangeable
+// results — and the key a persistent ResultStore files the record
+// under. Invalid configurations are errors, and so is a config that
+// fails to marshal: a nondeterministic fallback key would not only
+// defeat sharing, it would poison any persistent store keyed by it.
 func (j Job) Key() (string, error) {
-	cfg := j.resolve()
-	if err := cfg.Validate(); err != nil {
+	if err := j.Config.Validate(); err != nil {
 		return "", fmt.Errorf("%s: %w", j.Name, err)
 	}
-	return cacheKey(j.Name, j.Variant, &cfg)
+	b, err := json.Marshal(&j.Config)
+	if err != nil {
+		return "", fmt.Errorf("darco: config of job %q is not hashable: %w", j.Name, err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(j.Name))
+	h.Write([]byte{0})
+	h.Write([]byte(j.Variant))
+	h.Write([]byte{0})
+	h.Write(b)
+	return fmt.Sprintf("%s|%016x", j.Name, h.Sum64()), nil
 }
 
 // isCancellation reports whether err came from a cancelled or expired
@@ -345,20 +316,16 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// preloadKey indexes externally supplied results by (name, mode) only:
-// preloaded Records carry no Config, so the caller vouches that they
-// were produced under the configuration the session would use.
-func preloadKey(name string, mode timing.Mode) string {
-	return name + "\x00" + mode.String()
-}
-
-// Preload seeds the session with an externally obtained result for
-// (name, mode), e.g. one loaded from a cmd/darco-suite -json Record.
-// Subsequent jobs with that name and mode are served from it without
-// simulating.
-func (s *Session) Preload(name string, mode timing.Mode, res *Result) {
+// Preload seeds the memo cache with an externally obtained result
+// under a Job.Key — e.g. one loaded from a cmd/darco-suite -json
+// Record. A later job with that key is served from it without
+// simulating; a job differing in anything the key covers misses. The
+// caller vouches that res is the run the key describes.
+func (s *Session) Preload(key string, res *Result) {
+	e := &sessionEntry{done: make(chan struct{}), res: res}
+	close(e.done)
 	s.mu.Lock()
-	s.preload[preloadKey(name, mode)] = res
+	s.cache[key] = e
 	s.mu.Unlock()
 }
 
@@ -369,15 +336,10 @@ func (s *Session) Preload(name string, mode timing.Mode, res *Result) {
 // share the result. Context-cancellation errors are not memoized, so
 // a cancelled job can be retried.
 func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
-	cfg := job.resolve()
+	cfg := job.Config
 	// Fail fast on invalid configs: no worker slot, no cache entry —
 	// every submission of a bad job reports the same clear error.
-	if err := cfg.Validate(); err != nil {
-		err = fmt.Errorf("%s: %w", job.Name, err)
-		s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventFailed, Err: err})
-		return nil, err
-	}
-	key, err := cacheKey(job.Name, job.Variant, &cfg)
+	key, err := job.Key()
 	if err != nil {
 		s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventFailed, Err: err})
 		return nil, err
@@ -386,11 +348,6 @@ func (s *Session) Run(ctx context.Context, job Job) (*Result, error) {
 	var e *sessionEntry
 	for {
 		s.mu.Lock()
-		if res, ok := s.preload[preloadKey(job.Name, cfg.Mode)]; ok && !job.NoPreload {
-			s.mu.Unlock()
-			s.notify(&job, Event{Job: job.Name, Mode: cfg.Mode, Kind: EventCached})
-			return res, nil
-		}
 		prev, inFlight := s.cache[key]
 		if !inFlight {
 			e = &sessionEntry{done: make(chan struct{})}

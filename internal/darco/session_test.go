@@ -13,7 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
-func benchJob(t *testing.T, name string, scale float64, opts ...Option) Job {
+// noCosim is DefaultConfig with co-simulation off, the fast
+// configuration of most tests.
+func noCosim() Config {
+	c := DefaultConfig()
+	c.TOL.Cosim = false
+	return c
+}
+
+func benchJob(t *testing.T, name string, scale float64) Job {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -24,7 +32,7 @@ func benchJob(t *testing.T, name string, scale float64, opts ...Option) Job {
 		Name:    spec.Name,
 		Variant: fmt.Sprintf("scale=%g", scale),
 		Program: workload.SpecProgram{Spec: spec},
-		Opts:    append([]Option{WithCosim(false)}, opts...),
+		Config:  noCosim(),
 	}
 }
 
@@ -87,7 +95,7 @@ func TestSessionMemoizes(t *testing.T) {
 
 	// A different config must NOT hit the cache.
 	alt := job
-	alt.Opts = append(alt.Opts, WithMode(timing.ModeSplit))
+	alt.Config.Mode = timing.ModeSplit
 	if _, err := s.Run(context.Background(), alt); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +190,7 @@ func TestSessionBatchReportsPerJobErrors(t *testing.T) {
 	boom := errors.New("boom")
 	jobs := []Job{
 		benchJob(t, "462.libquantum", 0.1),
-		{Name: "broken", Program: workload.Func("broken", func() (*guest.Program, error) { return nil, boom })},
+		{Name: "broken", Program: workload.Func("broken", func() (*guest.Program, error) { return nil, boom }), Config: noCosim()},
 	}
 	out := s.RunBatch(context.Background(), jobs)
 	if out[0].Err != nil {
@@ -193,25 +201,41 @@ func TestSessionBatchReportsPerJobErrors(t *testing.T) {
 	}
 }
 
-// TestSessionPreload checks externally supplied results short-circuit
-// simulation.
+// TestSessionPreload checks that Preload seeds the memo cache under a
+// Job.Key: the job with that key is served the preloaded result as
+// EventCached without building its program.
 func TestSessionPreload(t *testing.T) {
-	started := false
-	s := NewSession(WithEvents(func(ev Event) {
-		if ev.Kind == EventStarted {
-			started = true
-		}
+	var mu sync.Mutex
+	events := map[EventKind]int{}
+	s := NewSession(WithWorkers(1), WithEvents(func(ev Event) {
+		mu.Lock()
+		events[ev.Kind]++
+		mu.Unlock()
 	}))
-	canned := &Result{Timing: &timing.Result{Cycles: 42}}
-	s.Preload("462.libquantum", timing.ModeShared, canned)
-	res, err := s.Run(context.Background(), benchJob(t, "462.libquantum", 0.1))
+	builds := 0
+	spec, err := workload.ByName("462.libquantum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != canned {
-		t.Error("preloaded result not returned")
+	spec = spec.Scale(0.1)
+	prog := workload.Func(spec.Name, func() (*guest.Program, error) {
+		builds++
+		return spec.Build()
+	})
+	seeded := JobForProgram(prog, 0.1, noCosim())
+	key, err := seeded.Key()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if started {
-		t.Error("preloaded job was simulated anyway")
+	canned := &Result{Timing: &timing.Result{Cycles: 42}}
+	s.Preload(key, canned)
+
+	res, err := s.Run(context.Background(), seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != canned || builds != 0 || events[EventCached] != 1 || events[EventStarted] != 0 {
+		t.Fatalf("seeded key: got %v after %d builds, events %v; want the preloaded result, cached, unbuilt",
+			res.Timing.Cycles, builds, events)
 	}
 }

@@ -82,7 +82,7 @@ func TestSmokeInteraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Timing-only experiment; the functional path is tested elsewhere.
-	ir, err := RunInteraction(context.Background(), p, WithCosim(false))
+	ir, err := RunInteraction(context.Background(), p, noCosim())
 	if err != nil {
 		t.Fatal(err)
 	}

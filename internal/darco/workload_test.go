@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/tol"
 	"repro/internal/workload"
 )
 
@@ -51,11 +52,11 @@ func TestSyntheticSourceCycleIdentical(t *testing.T) {
 		}
 		spec = spec.Scale(0.25)
 		sess := NewSession(WithWorkers(2))
-		old, err := sess.Run(context.Background(), JobForSpec(spec, 0.25))
+		old, err := sess.Run(context.Background(), JobForSpec(spec, 0.25, DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := WithWorkload("synthetic:"+name, 0.25)
+		job, err := WithWorkload("synthetic:"+name, 0.25, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,12 +107,16 @@ func TestTraceReplayCrossConfig(t *testing.T) {
 
 	// Replay under a deliberately different configuration: bounded
 	// code cache and a different optimization preset.
-	cross := []Option{WithOptLevel(1), WithCodeCache(512, "lru-translation")}
-	direct, err := Run(context.Background(), mustBuild(t, orig), cross...)
+	cross := DefaultConfig()
+	if err := tol.ApplyOptLevel(&cross.TOL, 1); err != nil {
+		t.Fatal(err)
+	}
+	cross.TOL.Cache = tol.CacheConfig{CapacityInsts: 512, Policy: "lru-translation"}
+	direct, err := cross.Run(context.Background(), mustBuild(t, orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := Run(context.Background(), mustBuild(t, back.Program()), cross...)
+	replay, err := cross.Run(context.Background(), mustBuild(t, back.Program()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,27 +132,23 @@ func TestTraceReplayCrossConfig(t *testing.T) {
 
 // TestWithWorkloadJob covers the reference-string job constructor.
 func TestWithWorkloadJob(t *testing.T) {
-	job, err := WithWorkload("synthetic:401.bzip2", 0.5, WithCosim(false))
+	job, err := WithWorkload("synthetic:401.bzip2", 0.5, noCosim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Name != "401.bzip2" || job.NoPreload {
+	if job.Name != "401.bzip2" || job.Ref != "synthetic:401.bzip2" || job.Config.TOL.Cosim {
 		t.Fatalf("job %+v", job)
 	}
 	if job.Program.(workload.SpecProgram).Spec.OuterIters == 0 {
 		t.Fatal("scale not applied")
 	}
-	phased, err := WithWorkload("phased:401.bzip2+998.specrand", 0.5)
-	if err != nil {
+	if _, err := WithWorkload("phased:401.bzip2+998.specrand", 0.5, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if !phased.NoPreload {
-		t.Error("non-synthetic job did not opt out of preloading")
-	}
-	if _, err := WithWorkload("nope:x", 1); err == nil {
+	if _, err := WithWorkload("nope:x", 1, DefaultConfig()); err == nil {
 		t.Fatal("unknown source accepted")
 	}
-	if _, err := WithWorkload("trace:/nonexistent.trace.json", 1); err == nil {
+	if _, err := WithWorkload("trace:/nonexistent.trace.json", 1, DefaultConfig()); err == nil {
 		t.Fatal("missing trace accepted")
 	}
 }
@@ -182,11 +183,11 @@ func TestSameNameDifferentProgramsDoNotAlias(t *testing.T) {
 		t.Fatal("different images share a fingerprint")
 	}
 	sess := NewSession(WithWorkers(2))
-	rs, err := sess.Run(context.Background(), JobForProgram(small, 1, WithCosim(false)))
+	rs, err := sess.Run(context.Background(), JobForProgram(small, 1, noCosim()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := sess.Run(context.Background(), JobForProgram(big, 1, WithCosim(false)))
+	rb, err := sess.Run(context.Background(), JobForProgram(big, 1, noCosim()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestSameNameDifferentProgramsDoNotAlias(t *testing.T) {
 		t.Fatalf("same-name traces aliased: both report %d dynamic instructions", rs.GuestDyn())
 	}
 	// The same program twice still memoizes.
-	again, err := sess.Run(context.Background(), JobForProgram(small, 1, WithCosim(false)))
+	again, err := sess.Run(context.Background(), JobForProgram(small, 1, noCosim()))
 	if err != nil {
 		t.Fatal(err)
 	}

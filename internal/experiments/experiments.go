@@ -42,7 +42,8 @@ type Options struct {
 	// DESIGN.md default budgets). Every selected program must be
 	// scalable when Scale != 1 (trace replays are fixed images).
 	Scale float64
-	// Benchmarks restricts the set (nil = full 48-benchmark catalog).
+	// Benchmarks restricts the set (nil = Config.ISA's full catalog:
+	// 48 benchmarks, or the RV32I starter catalog under "rv32").
 	// Entries are workload references resolved through the Source
 	// registry ("<source>:<name>"); bare names select the synthetic
 	// catalog, so plain benchmark names keep working.
@@ -57,8 +58,9 @@ type Options struct {
 	// Context cancels in-flight simulations (nil = Background).
 	Context context.Context
 	// Preload seeds the session with previously computed full results
-	// (e.g. loaded from cmd/darco-suite -json output); matching
-	// (benchmark, mode) jobs are served without simulating.
+	// (e.g. cmd/darco-suite -json output). Records carry no config: each
+	// serves exactly its benchmark's figure cell at its mode under
+	// Config, and only for synthetic-catalog programs.
 	Preload []darco.Record
 	// SessionOptions are appended to the runner's session construction
 	// — the hook commands use to install a persistent result store
@@ -91,40 +93,37 @@ func NewRunner(opts Options) (*Runner, error) {
 	if opts.Context == nil {
 		opts.Context = context.Background()
 	}
-	var progs []workload.Program
-	var refs []string
-	if opts.Benchmarks == nil {
-		for _, s := range workload.Catalog() {
-			progs = append(progs, workload.SpecProgram{Spec: s})
-			refs = append(refs, workload.DefaultSource+":"+s.Name)
+	refs := opts.Benchmarks
+	if refs == nil {
+		catalog := workload.Catalog()
+		if opts.Config.ISA == "rv32" {
+			catalog = workload.RV32Catalog()
 		}
-	} else {
-		for _, ref := range opts.Benchmarks {
-			p, err := workload.Open(ref)
-			if err != nil {
-				return nil, err
-			}
-			progs = append(progs, p)
-			refs = append(refs, ref)
+		for _, s := range catalog {
+			refs = append(refs, workload.RefForISA(workload.DefaultSource+":"+s.Name, opts.Config.ISA))
 		}
 	}
-	for i := range progs {
-		p, err := workload.ScaleProgram(progs[i], opts.Scale)
+	var progs []workload.Program
+	for _, ref := range refs {
+		p, err := workload.Open(ref)
 		if err != nil {
+			return nil, err
+		}
+		if p, err = workload.ScaleProgram(p, opts.Scale); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		progs[i] = p
+		progs = append(progs, p)
 	}
 	// Every figure row set is keyed by program name, so a selection
 	// where two programs share a name — a catalog benchmark plus a trace
 	// recorded from it, say — would silently show one program's results
 	// on both rows. Reject it.
-	byName := map[string]bool{}
-	for _, p := range progs {
-		if byName[p.Name()] {
+	byName := map[string]int{}
+	for i, p := range progs {
+		if _, dup := byName[p.Name()]; dup {
 			return nil, fmt.Errorf("experiments: two selected workloads are named %q; figures key rows by name, so one of them must be renamed or dropped", p.Name())
 		}
-		byName[p.Name()] = true
+		byName[p.Name()] = i
 	}
 	sessOpts := []darco.SessionOption{darco.WithWorkers(opts.Jobs)}
 	sessOpts = append(sessOpts, opts.SessionOptions...)
@@ -137,19 +136,30 @@ func NewRunner(opts Options) (*Runner, error) {
 		}))
 	}
 	sess := darco.NewSession(sessOpts...)
+	// A record is filed under the key the figure grid computes for its
+	// benchmark at its mode (the same sweep.JobFor call), so a cell whose
+	// configuration deviates — a bounded cache leg — misses.
 	for _, rec := range opts.Preload {
 		if rec.Result == nil {
+			continue
+		}
+		i, ok := byName[rec.Benchmark]
+		if !ok || progs[i].Meta().Source != workload.DefaultSource {
 			continue
 		}
 		if rec.Scale != 0 && rec.Scale != opts.Scale {
 			return nil, fmt.Errorf("experiments: preload record %q was produced at -scale %g, session runs at -scale %g",
 				rec.Benchmark, rec.Scale, opts.Scale)
 		}
-		m, err := timing.ParseMode(rec.Mode)
+		j, err := sweep.JobFor(progs[i], refs[i], opts.Scale, opts.Config, &darco.Knobs{Mode: rec.Mode})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: preload record %q: %w", rec.Benchmark, err)
 		}
-		sess.Preload(rec.Benchmark, m, rec.Result)
+		key, err := j.Key()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: preload record %q: %w", rec.Benchmark, err)
+		}
+		sess.Preload(key, rec.Result)
 	}
 	return &Runner{opts: opts, progs: progs, refs: refs, sess: sess}, nil
 }
@@ -563,8 +573,8 @@ var DefaultCCCapacities = []int{0, 4096, 2048, 1024, 512, 256}
 // crossed with a cc-size axis ("inf" plus the bounded capacities in
 // descending order), with the meaningless combinations — unbounded ×
 // bounded size, real policy × inf — skipped, and the baseline cell
-// declared for derived metrics. Bounded cells opt out of preloading
-// automatically: their configuration deviates from the runner base.
+// declared for derived metrics. A preloaded record can only serve the
+// baseline cells: the bounded cells' memo keys cover their bound.
 func (r *Runner) ccGrid(caps []int, policies []string) *sweep.Grid {
 	zero := 0
 	polVals := []sweep.Value{{Name: "unbounded"}}

@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/darco"
 	"repro/internal/timing"
+	"repro/internal/tol"
+	"repro/internal/workload"
 )
 
 // testRunner builds a small-session runner over three contrasting
@@ -323,5 +326,98 @@ func TestPreloadServesFigures(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("preloaded Fig6 differs:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// sharedRecords runs the shared leg of every workload of a runner
+// built from opts and returns the results as darco.Records, the form
+// darco-suite -json hands to darco-figs -from.
+func sharedRecords(t *testing.T, opts Options) []darco.Record {
+	t.Helper()
+	a, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := a.runModes(timing.ModeShared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []darco.Record
+	for _, w := range ws {
+		recs = append(recs, darco.NewRecord(w[0].Name, w[0].Suite, opts.Scale, timing.ModeShared, w[0].Result, nil))
+	}
+	return recs
+}
+
+// TestPreloadServesOnlyMatchingCCLegs: records carry no configuration,
+// so they are filed under the key of the base-configuration cell. In
+// the cache-pressure sweep that is each benchmark's unbounded
+// baseline; every bounded leg misses and simulates.
+func TestPreloadServesOnlyMatchingCCLegs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	opts.Benchmarks = []string{"470.lbm", "400.perlbench"}
+	opts.Config.TOL.Cosim = false
+	opts.Preload = sharedRecords(t, opts)
+	var log bytes.Buffer
+	opts.Log = &log
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.FigCC([]int{0, 512}); err != nil {
+		t.Fatal(err)
+	}
+	bounded := len(opts.Benchmarks) * len(tol.RegisteredEvictionPolicies())
+	if n := countRuns(log.String()); n != bounded {
+		t.Errorf("FigCC simulated %d jobs, want the %d bounded legs only:\n%s", n, bounded, log.String())
+	}
+}
+
+// TestPreloadNeverServesOtherSources: a record names a benchmark, not
+// a program, so an RV32I port or a trace: replay that shares the
+// catalog name is simulated rather than served the record. Under an
+// rv32 pin the synthetic reference is preloaded under its x86 key but
+// the grid runs the port, which only the key tells apart; the trace is
+// never preloaded at all.
+func TestPreloadNeverServesOtherSources(t *testing.T) {
+	spec, err := workload.ByName("429.mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(t.TempDir(), "mcf.trace.json")
+	if err := workload.RecordTrace(trace, workload.SpecProgram{Spec: spec.Scale(0.05)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ref, isa string
+		scale    float64 // traces are fixed images: they only run at scale 1
+	}{
+		{"synthetic:429.mcf", "rv32", 0.05},
+		{"trace:" + trace, "", 1},
+	} {
+		opts := DefaultOptions()
+		opts.Scale = tc.scale
+		opts.Config.TOL.Cosim = false
+		opts.Benchmarks = []string{"429.mcf"}
+		recs := sharedRecords(t, opts)
+		opts.Benchmarks = []string{tc.ref}
+		opts.Config.ISA = tc.isa
+		opts.Preload = recs
+		var log bytes.Buffer
+		opts.Log = &log
+		r, err := NewRunner(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.progs[0].Name() != recs[0].Benchmark {
+			t.Fatalf("%s is named %q, not like the record %q", tc.ref, r.progs[0].Name(), recs[0].Benchmark)
+		}
+		if _, err := r.runModes(timing.ModeShared); err != nil {
+			t.Fatal(err)
+		}
+		if n := countRuns(log.String()); n != 1 {
+			t.Errorf("%s: simulated %d jobs, want 1 (the record must not stand in):\n%s", tc.ref, n, log.String())
+		}
 	}
 }

@@ -68,8 +68,8 @@ func (r *Runner) phasePool() []string {
 // member join is exactly the reference that re-opens each composite,
 // locally or on a remote session) against a single policy axis — the
 // unbounded baseline plus every registered eviction policy at the
-// bounded capacity. Phased programs opt out of preloading by
-// construction (suite records never describe composites).
+// bounded capacity. Preloaded records never serve these cells: they
+// only stand in for synthetic-catalog programs.
 func phaseGrid(workloads []string, policies []string, capacityInsts int, scale float64) *sweep.Grid {
 	zero := 0
 	vals := []sweep.Value{{Name: "unbounded", Knobs: darco.Knobs{CCSize: &zero}}}

@@ -37,7 +37,7 @@ func TestFigPhaseSweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := darco.NewSession()
-	base, err := probe.Run(r.opts.Context, darco.JobForProgram(scaled, opts.Scale))
+	base, err := probe.Run(r.opts.Context, darco.JobForProgram(scaled, opts.Scale, darco.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,7 @@ var DefaultSamplePlan = sample.Config{Interval: 50_000, Every: 8, Warmup: 3_000}
 
 // sampleGrid builds the comparison as a grid spec: every benchmark
 // against a two-point "sim" axis — full detail versus the sampling
-// plan. Preloading is disabled grid-wide — records carry no
-// wall-clock, and the figure's point is the timing.
+// plan.
 func sampleGrid(workloads []string, sc sample.Config, scale float64) *sweep.Grid {
 	return &sweep.Grid{
 		Name:      "fig-sample",
@@ -40,8 +39,7 @@ func sampleGrid(workloads []string, sc sample.Config, scale float64) *sweep.Grid
 			{Name: "sampled", Knobs: darco.Knobs{Sample: &darco.SamplePlan{
 				Every: sc.Every, Interval: sc.Interval, Warmup: &sc.Warmup}}},
 		}}},
-		Baseline:  map[string]string{"sim": "full"},
-		NoPreload: true,
+		Baseline: map[string]string{"sim": "full"},
 	}
 }
 

@@ -37,7 +37,7 @@ func (r *Runner) oracleRef(p workload.Program) string {
 func (r *Runner) oracleJob(p workload.Program, mode timing.Mode) darco.Job {
 	cfg := r.opts.Config
 	cfg.Mode = mode
-	j := darco.JobForProgram(p, r.opts.Scale, darco.WithConfig(cfg))
+	j := darco.JobForProgram(p, r.opts.Scale, cfg)
 	j.Ref = r.oracleRef(p)
 	return j
 }
@@ -47,9 +47,8 @@ func (r *Runner) oracleCCJob(p workload.Program, capacity int, policy string) da
 	cfg := r.opts.Config
 	cfg.Mode = timing.ModeShared
 	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: capacity, Policy: policy}
-	j := darco.JobForProgram(p, r.opts.Scale, darco.WithConfig(cfg))
+	j := darco.JobForProgram(p, r.opts.Scale, cfg)
 	j.Ref = r.oracleRef(p)
-	j.NoPreload = j.NoPreload || capacity > 0
 	return j
 }
 
@@ -58,9 +57,8 @@ func (r *Runner) oraclePhaseJob(p workload.Program, capacity int, policy string)
 	cfg := r.opts.Config
 	cfg.Mode = timing.ModeShared
 	cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: capacity, Policy: policy}
-	j := darco.JobForProgram(p, r.opts.Scale, darco.WithConfig(cfg))
+	j := darco.JobForProgram(p, r.opts.Scale, cfg)
 	j.Ref = "phased:" + p.Name()
-	j.NoPreload = true
 	return j
 }
 
@@ -69,12 +67,12 @@ func (r *Runner) oracleSampleJob(p workload.Program, plan *sample.Config) darco.
 	cfg := r.opts.Config
 	cfg.Mode = timing.ModeShared
 	cfg.Sampling = nil
-	j := darco.JobForProgram(p, r.opts.Scale, darco.WithConfig(cfg))
 	if plan != nil {
-		j.Opts = append(j.Opts, darco.WithSampling(*plan))
+		sc := *plan
+		cfg.Sampling = &sc
 	}
+	j := darco.JobForProgram(p, r.opts.Scale, cfg)
 	j.Ref = r.oracleRef(p)
-	j.NoPreload = true
 	return j
 }
 

@@ -74,25 +74,26 @@ func (c Cell) Name() string {
 	return s
 }
 
-// Options renders the cell as run options. Co-simulation is always on
-// — it is the per-instruction half of the oracle — and maxGuestInsts
-// guards against generated programs that outrun their estimate.
-func (c Cell) Options(maxGuestInsts uint64) []darco.Option {
-	opts := []darco.Option{
-		darco.WithOptLevel(c.OptLevel),
-		darco.WithCosim(true),
-		func(cfg *darco.Config) {
-			cfg.TOL.MaxGuestInsts = maxGuestInsts
-			cfg.Timing.StreamBatch = c.StreamBatch
-		},
+// Config renders the cell as a run configuration. Co-simulation is
+// always on — it is the per-instruction half of the oracle — and
+// maxGuestInsts guards against generated programs that outrun their
+// estimate. An out-of-range OptLevel is kept in the config for
+// Config.Validate to reject.
+func (c Cell) Config(maxGuestInsts uint64) darco.Config {
+	cfg := darco.DefaultConfig()
+	if err := tol.ApplyOptLevel(&cfg.TOL, c.OptLevel); err != nil {
+		cfg.TOL.Passes, cfg.TOL.OptLevel = "", fmt.Sprintf("O%d", c.OptLevel)
 	}
+	cfg.TOL.Cosim = true
+	cfg.TOL.MaxGuestInsts = maxGuestInsts
+	cfg.Timing.StreamBatch = c.StreamBatch
 	if c.CacheInsts > 0 {
-		opts = append(opts, darco.WithCodeCache(c.CacheInsts, c.CachePolicy))
+		cfg.TOL.Cache = tol.CacheConfig{CapacityInsts: c.CacheInsts, Policy: c.CachePolicy}
 	}
 	if c.Promotion != "" {
-		opts = append(opts, darco.WithPromotion(c.Promotion))
+		cfg.TOL.Promotion = c.Promotion
 	}
-	return opts
+	return cfg
 }
 
 // SmokeMatrix is the curated matrix for CI and the default fuzzrun

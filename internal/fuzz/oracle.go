@@ -29,9 +29,9 @@ type Oracle struct {
 	Cells []Cell
 	// MaxGuestInsts guards each cell (defaultMaxGuestInsts if 0).
 	MaxGuestInsts uint64
-	// Extra options are appended to every cell — the fault-injection
-	// hook of the mutation tests (e.g. setting tol.Config.Fault).
-	Extra []darco.Option
+	// Fault names a translator fault (tol.Faults) injected into every
+	// cell — the hook of the mutation tests. Empty injects none.
+	Fault string
 	// SnapshotCheck adds the checkpoint/restore leg: the first cell is
 	// paused mid-run, snapshotted through the JSON envelope, restored
 	// and resumed, and must finish architecturally identical to its
@@ -171,10 +171,12 @@ func (o *Oracle) session() *darco.Session {
 	return o.Session
 }
 
-// job builds the session job running spec under cell.
+// job builds the session job running spec under cell, with the
+// oracle's injected fault.
 func (o *Oracle) job(spec workload.Spec, cell Cell) darco.Job {
-	opts := append(cell.Options(o.maxInsts()), o.Extra...)
-	return darco.JobForSpec(spec, 0, opts...)
+	cfg := cell.Config(o.maxInsts())
+	cfg.TOL.Fault = o.Fault
+	return darco.JobForSpec(spec, 0, cfg)
 }
 
 // Check runs one spec across the matrix and cross-checks the results.
@@ -240,24 +242,13 @@ func (o *Oracle) Check(ctx context.Context, spec workload.Spec) (*Report, error)
 	return rep, nil
 }
 
-// resolveConfig renders a cell (plus the oracle's extra options) into
-// the full run configuration, for the legs that drive the engine and
-// timing simulator directly.
-func (o *Oracle) resolveConfig(cell Cell) darco.Config {
-	cfg := darco.DefaultConfig()
-	for _, opt := range append(cell.Options(o.maxInsts()), o.Extra...) {
-		opt(&cfg)
-	}
-	return cfg
-}
-
 // checkSnapshotResume pauses a run of spec at half its retired
 // instructions, checkpoints the whole machine through the snapshot
 // envelope, restores, resumes, and compares the completed run against
 // an uninterrupted one: timing, TOL statistics and final guest state
 // must all match exactly.
 func (o *Oracle) checkSnapshotResume(ctx context.Context, spec workload.Spec, cell Cell) error {
-	cfg := o.resolveConfig(cell)
+	cfg := o.job(spec, cell).Config
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -332,12 +323,13 @@ func (o *Oracle) checkSnapshotResume(ctx context.Context, spec workload.Spec, ce
 // state are exact and must match the full run.
 func (o *Oracle) checkSampledVsFull(ctx context.Context, spec workload.Spec, cell Cell) error {
 	sc := sample.Config{Interval: 20_000, Every: 2, Warmup: 2_000}
-	opts := append(cell.Options(o.maxInsts()), o.Extra...)
-	full, err := o.session().Run(ctx, darco.JobForSpec(spec, 0, opts...))
+	job := o.job(spec, cell)
+	full, err := o.session().Run(ctx, job)
 	if err != nil {
 		return fmt.Errorf("full run: %w", err)
 	}
-	sampled, err := o.session().Run(ctx, darco.JobForSpec(spec, 0, append(opts, darco.WithSampling(sc))...))
+	job.Config.Sampling = &sc
+	sampled, err := o.session().Run(ctx, job)
 	if err != nil {
 		return fmt.Errorf("sampled run: %w", err)
 	}

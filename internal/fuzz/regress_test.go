@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/darco"
 	"repro/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func TestRegressionCorpusReplaysClean(t *testing.T) {
 			}
 			prog := mustBuild(t, tr.Program())
 			for _, cell := range SmokeMatrix() {
-				res, err := darco.Run(ctx, prog, cell.Options(defaultMaxGuestInsts)...)
+				res, err := cell.Config(defaultMaxGuestInsts).Run(ctx, prog)
 				if err != nil {
 					if div, ok := AsDivergence(err); ok {
 						t.Errorf("%s: regressed:\n%s", cell.Name(), div.Report())

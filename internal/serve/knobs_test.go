@@ -225,7 +225,7 @@ func commandLine(base darco.Config, ref string, args []string) (darco.Config, st
 // jobKey is the memo key of ref at scale under cfg.
 func jobKey(t *testing.T, ref string, scale float64, cfg darco.Config) string {
 	t.Helper()
-	j, err := darco.WithWorkload(ref, scale, darco.WithConfig(cfg))
+	j, err := darco.WithWorkload(ref, scale, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -386,7 +386,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if scale == 0 {
 		scale = 1
 	}
-	sjob, err := darco.WithWorkload(ref, scale, darco.WithConfig(cfg))
+	sjob, err := darco.WithWorkload(ref, scale, cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -13,6 +13,7 @@ import (
 	"repro/internal/darco"
 	"repro/internal/guest"
 	"repro/internal/store"
+	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
@@ -320,7 +321,9 @@ func TestRemoteSession(t *testing.T) {
 	srv, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
 
-	job, err := darco.WithWorkload("synthetic:429.mcf", 0.1, darco.WithCosim(false))
+	cfg := darco.DefaultConfig()
+	cfg.TOL.Cosim = false
+	job, err := darco.WithWorkload("synthetic:429.mcf", 0.1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +359,7 @@ func TestRemoteSession(t *testing.T) {
 	}
 
 	// A job with no workload reference cannot run remotely.
-	specJob := darco.JobForSpec(mustSpec(t, "470.lbm"), 1, darco.WithCosim(false))
+	specJob := darco.JobForSpec(mustSpec(t, "470.lbm"), 1, cfg)
 	if _, err := sess.Run(ctx, specJob); err == nil {
 		t.Fatal("reference-less job ran remotely, want error")
 	}
@@ -466,6 +469,23 @@ func TestSubmitValidation(t *testing.T) {
 		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{ISA: "sparc"}},
 		{Workload: "synthetic:470.lbm", Knobs: darco.Knobs{Sample: &darco.SamplePlan{}}},
 		{Workload: "synthetic:470.lbm", Scale: -5},
+	}
+	// Timing geometries the simulator cannot build (or that never
+	// make progress, or exhaust memory) are refused at submission;
+	// accepted, each would take the whole server down.
+	for _, edit := range []func(*timing.Config){
+		func(c *timing.Config) { *c = timing.Config{} },
+		func(c *timing.Config) { c.L1D.Assoc = 0 },
+		func(c *timing.Config) { c.L1D.Size = 3 },
+		func(c *timing.Config) { c.BTBEntries = 0 },
+		func(c *timing.Config) { c.L1TLB.Entries = 0 },
+		func(c *timing.Config) { c.IssueWidth = 0 },
+		func(c *timing.Config) { c.IQSize = 0 },
+		func(c *timing.Config) { c.BPHistoryBits = 40 },
+	} {
+		tc := timing.DefaultConfig()
+		edit(&tc)
+		bad = append(bad, SubmitRequest{Workload: "synthetic:429.mcf", Scale: 0.05, Knobs: darco.Knobs{Timing: &tc}})
 	}
 	for i, req := range bad {
 		_, err := c.Submit(ctx, req)
@@ -596,7 +616,7 @@ func ExampleClient() {
 	cl := NewClient("http://127.0.0.1:8080")
 	cl.Tenant = "docs"
 	sess := darco.NewSession(darco.WithRemote(cl))
-	job, err := darco.WithWorkload("synthetic:470.lbm", 1.0)
+	job, err := darco.WithWorkload("synthetic:470.lbm", 1.0, darco.DefaultConfig())
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -14,11 +14,18 @@ import (
 	"repro/internal/timing"
 )
 
+// noCosim is DefaultConfig with co-simulation off.
+func noCosim() darco.Config {
+	cfg := darco.DefaultConfig()
+	cfg.TOL.Cosim = false
+	return cfg
+}
+
 // tinyRecord simulates one small benchmark and wraps it in the Record
 // interchange form, returning the memo key it files under.
 func tinyRecord(t *testing.T) (string, *darco.Record) {
 	t.Helper()
-	job, err := darco.WithWorkload("synthetic:462.libquantum", 0.1, darco.WithCosim(false))
+	job, err := darco.WithWorkload("synthetic:462.libquantum", 0.1, noCosim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +180,7 @@ func TestConcurrentPutSameKey(t *testing.T) {
 // record.
 func TestSessionStoreHitSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	job, err := darco.WithWorkload("synthetic:429.mcf", 0.1, darco.WithCosim(false))
+	job, err := darco.WithWorkload("synthetic:429.mcf", 0.1, noCosim())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -115,9 +114,6 @@ type Grid struct {
 	// is each workload's reference point for the derived speedup
 	// column. Empty means no baseline metrics.
 	Baseline map[string]string `json:"baseline,omitempty"`
-	// NoPreload opts every cell out of the session preload shortcut
-	// regardless of whether its configuration deviates from the base.
-	NoPreload bool `json:"no_preload,omitempty"`
 }
 
 // Coord is one cell coordinate: the axis and the value name.
@@ -342,10 +338,9 @@ func DecodeGrid(r io.Reader) (*Grid, error) {
 // figure sweep built on it): it folds the knob deltas into the base
 // configuration in order and builds the session job for the
 // already-scaled program. The job keeps the workload reference, so it
-// stays runnable on a remote session, and opts out of the preload
-// shortcut whenever its resolved configuration deviates from the base
-// at the same mode — preloaded Records are matched by (name, mode)
-// only and describe base-configuration runs.
+// stays runnable on a remote session; its Key is the cell's only cache
+// identity, so a preloaded or stored result serves exactly the cells
+// whose resolved configuration it was computed under.
 func JobFor(p workload.Program, ref string, scale float64, base darco.Config, knobs ...*darco.Knobs) (darco.Job, error) {
 	cfg := base
 	for _, k := range knobs {
@@ -356,30 +351,7 @@ func JobFor(p workload.Program, ref string, scale float64, base darco.Config, kn
 	if err := cfg.Validate(); err != nil {
 		return darco.Job{}, fmt.Errorf("sweep: %s: %w", p.Name(), err)
 	}
-	j := darco.JobForProgram(p, scale, darco.WithConfig(cfg))
+	j := darco.JobForProgram(p, scale, cfg)
 	j.Ref = ref
-	deviates, err := configDeviates(base, cfg)
-	if err != nil {
-		return darco.Job{}, fmt.Errorf("sweep: %s: %w", p.Name(), err)
-	}
-	j.NoPreload = j.NoPreload || deviates
 	return j, nil
-}
-
-// configDeviates reports whether cfg differs from base anywhere but
-// the mode (preload records are keyed by mode, so a mode-only change
-// is still preload-servable). The comparison uses the JSON form — the
-// same rendering the memo key hashes.
-func configDeviates(base, cfg darco.Config) (bool, error) {
-	base.Mode = cfg.Mode
-	base.Progress, cfg.Progress = nil, nil
-	a, err := json.Marshal(&base)
-	if err != nil {
-		return false, err
-	}
-	b, err := json.Marshal(&cfg)
-	if err != nil {
-		return false, err
-	}
-	return !bytes.Equal(a, b), nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/darco"
+	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
@@ -180,25 +181,36 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	}
 	base := darco.DefaultConfig()
 
-	// A mode-only change keeps the preload shortcut (records are keyed
-	// by mode); any other deviation opts out.
+	// The job's key is the one cache identity a preloaded result is
+	// filed under: a mode knob yields the key of the base config at
+	// that mode, and any other deviation yields a different key.
+	key := func(j darco.Job) string {
+		t.Helper()
+		k, err := j.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
 	j, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "tol-only"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.NoPreload {
-		t.Fatal("mode-only change disabled preload")
+	atMode := base
+	atMode.Mode = timing.ModeTOLOnly
+	if key(j) != key(darco.JobForProgram(p, 1, atMode)) {
+		t.Fatal("mode knob did not yield the base config's key at that mode")
 	}
+	shared := darco.JobForProgram(p, 1, base)
 	j, err = JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Mode: "shared"}, &darco.Knobs{StreamBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !j.NoPreload {
-		t.Fatal("config deviation kept preload")
+	if key(j) == key(shared) {
+		t.Fatal("config deviation kept the base key")
 	}
-	cfg := jobConfig(t, j)
-	if cfg.Timing.StreamBatch != 256 {
-		t.Fatalf("StreamBatch = %d", cfg.Timing.StreamBatch)
+	if j.Config.Timing.StreamBatch != 256 {
+		t.Fatalf("StreamBatch = %d", j.Config.Timing.StreamBatch)
 	}
 
 	// An explicit cc_size 0 restores the unbounded cache and clears a
@@ -208,9 +220,8 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = jobConfig(t, j)
-	if cfg.TOL.Cache.CapacityInsts != 0 || cfg.TOL.Cache.Policy != "" {
-		t.Fatalf("cache = %+v, want unbounded", cfg.TOL.Cache)
+	if c := j.Config.TOL.Cache; c.CapacityInsts != 0 || c.Policy != "" {
+		t.Fatalf("cache = %+v, want unbounded", c)
 	}
 
 	// Invalid knob combinations fail at job construction.
@@ -224,17 +235,6 @@ func TestJobForKnobsAndPreload(t *testing.T) {
 	if _, err := JobFor(p, "462.libquantum", 1, base, &darco.Knobs{Sample: &darco.SamplePlan{Every: bad}}); err == nil {
 		t.Fatal("bad sample plan accepted")
 	}
-}
-
-// jobConfig resolves the job's options into the configuration the
-// session would run.
-func jobConfig(t *testing.T, j darco.Job) darco.Config {
-	t.Helper()
-	cfg := darco.DefaultConfig()
-	for _, o := range j.Opts {
-		o(&cfg)
-	}
-	return cfg
 }
 
 // TestCommittedGridSpecsResolve loads every grid spec under

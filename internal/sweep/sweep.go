@@ -13,9 +13,7 @@ import (
 // Options configures one grid execution.
 type Options struct {
 	// Config is the base configuration every cell's knob deltas fold
-	// into (nil = darco.DefaultConfig). It is also the reference point
-	// of the preload shortcut: cells that deviate from it anywhere but
-	// the mode run with Job.NoPreload set.
+	// into (nil = darco.DefaultConfig).
 	Config *darco.Config
 	// Jobs bounds local parallelism for Run (0 = GOMAXPROCS).
 	Jobs int
@@ -141,7 +139,6 @@ func RunOn(ctx context.Context, sess *darco.Session, g *Grid, opts Options) (*Re
 		if err != nil {
 			return nil, err
 		}
-		j.NoPreload = j.NoPreload || g.NoPreload
 		key, err := j.Key()
 		if err != nil {
 			return nil, fmt.Errorf("sweep: cell %d (%s): %w", cell.Index, cell.Workload, err)

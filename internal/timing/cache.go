@@ -88,12 +88,9 @@ type Cache struct {
 // NewCache builds a cache from its configuration. Size, block size and
 // associativity must be powers of two with at least one set.
 func NewCache(cfg CacheConfig) *Cache {
-	sets := cfg.Size / (cfg.BlockSize * cfg.Assoc)
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("timing: invalid cache geometry %+v (sets=%d)", cfg, sets))
-	}
-	if cfg.Assoc&(cfg.Assoc-1) != 0 || cfg.Assoc > 16 {
-		panic(fmt.Sprintf("timing: unsupported associativity %d", cfg.Assoc))
+	sets, err := cfg.sets()
+	if err != nil {
+		panic(fmt.Sprintf("timing: invalid cache geometry %+v: %v", cfg, err))
 	}
 	blockBits := uint(0)
 	for 1<<blockBits < cfg.BlockSize {

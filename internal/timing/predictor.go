@@ -1,5 +1,7 @@
 package timing
 
+import "fmt"
+
 // Gshare branch predictor plus branch target buffer, per Table I
 // (history register of 12 bits). Branch history is shared between TOL
 // and the application, which is exactly the cross-pollution mechanism
@@ -49,9 +51,9 @@ type Predictor struct {
 // NewPredictor builds the predictor from the configuration.
 func NewPredictor(cfg *Config) *Predictor {
 	bits := uint(cfg.BPHistoryBits)
-	sets := cfg.BTBEntries / cfg.BTBAssoc
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("timing: invalid BTB geometry")
+	sets, err := tableSets(cfg.BTBEntries, cfg.BTBAssoc)
+	if err != nil {
+		panic(fmt.Sprintf("timing: invalid BTB geometry: %v", err))
 	}
 	return &Predictor{
 		historyBits: bits,

@@ -1,5 +1,7 @@
 package timing
 
+import "fmt"
+
 // StridePrefetcher is a PC-indexed stride prefetcher attached to the
 // L1 data cache (Table I: 256 entries). When a load/store at a given PC
 // exhibits a stable address stride, the next block is prefetched.
@@ -20,8 +22,8 @@ func NewStridePrefetcher(entries int) *StridePrefetcher {
 	if entries == 0 {
 		return &StridePrefetcher{}
 	}
-	if entries&(entries-1) != 0 {
-		panic("timing: prefetcher entries must be a power of two")
+	if _, err := tableSets(entries, 1); err != nil {
+		panic(fmt.Sprintf("timing: invalid prefetcher size: %v", err))
 	}
 	return &StridePrefetcher{
 		mask:    uint32(entries - 1),

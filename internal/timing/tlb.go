@@ -20,12 +20,9 @@ type TLB struct {
 
 // NewTLB builds a TLB level.
 func NewTLB(cfg TLBConfig) *TLB {
-	sets := cfg.Entries / cfg.Assoc
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("timing: invalid TLB geometry %+v", cfg))
-	}
-	if cfg.Assoc&(cfg.Assoc-1) != 0 || cfg.Assoc > 16 {
-		panic(fmt.Sprintf("timing: unsupported TLB associativity %d", cfg.Assoc))
+	sets, err := cfg.sets()
+	if err != nil {
+		panic(fmt.Sprintf("timing: invalid TLB geometry %+v: %v", cfg, err))
 	}
 	return &TLB{
 		cfg:     cfg,

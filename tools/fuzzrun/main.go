@@ -73,10 +73,7 @@ func main() {
 	}
 	o.SnapshotCheck = *snapshot
 	o.SampledCheck = *sampled
-	if *fault != "" {
-		f := *fault
-		o.Extra = []darco.Option{func(c *darco.Config) { c.TOL.Fault = f }}
-	}
+	o.Fault = *fault
 
 	ctx := context.Background()
 	rep := runReport{Configs: *configs, Cells: len(cells)}
